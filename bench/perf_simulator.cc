@@ -284,11 +284,12 @@ main(int argc, char **argv)
     std::string micro_json = "{}";
     if (!user_out) {
         std::ifstream micro_in(micro_path);
-        if (micro_in) {
-            std::ostringstream buf;
+        std::ostringstream buf;
+        if (micro_in)
             buf << micro_in.rdbuf();
+        // A filter that matches no benchmark leaves the file empty.
+        if (!buf.str().empty())
             micro_json = buf.str();
-        }
         std::remove(micro_path.c_str());
     }
 

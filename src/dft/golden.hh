@@ -4,9 +4,8 @@
  *
  * Snapshots the structured results of every registered experiment's
  * smoke cell (one small deterministic simulation per figure, table,
- * ablation, and NUMA suite — 19 cells in all) and compares them
- * against a blessed
- * file under version control (tests/golden/cells.jsonl).  Any future
+ * ablation, extension study, and NUMA suite — 24 cells in all) and
+ * compares them against a blessed file under version control (tests/golden/cells.jsonl).  Any future
  * change that shifts a reproduced number fails the check with a
  * line-level diff and must consciously re-bless with
  * `oscache-dft golden --bless`.

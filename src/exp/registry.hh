@@ -1,10 +1,8 @@
 /**
  * @file
- * The experiment registry: every paper figure, table, and ablation
- * expressed as data the scheduler can consume.
- *
- * Historically each bench binary ran its slice of the evaluation
- * grid serially.  Here an Experiment is split into:
+ * The experiment registry: every paper figure, table, ablation and
+ * extension study expressed as data the scheduler can consume.  An
+ * Experiment is split into:
  *
  *  - cells: the independent (workload × system × machine) simulation
  *    units, each a closed function returning a CellOutcome.  Most
@@ -14,9 +12,9 @@
  *    driver runs one and shares the outcome, so e.g. the Base runs
  *    that five different figures need happen once per sweep.
  *  - render: turns the completed cells into the experiment's text
- *    output (same tables and bar charts the standalone binaries
- *    print).  Renders are graph nodes depending on their cells, so
- *    one experiment can be rendering while another still simulates.
+ *    output (tables and bar charts).  Renders are graph nodes
+ *    depending on their cells, so one experiment can be rendering
+ *    while another still simulates.
  */
 
 #ifndef OSCACHE_EXP_REGISTRY_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * High-level experiment driver shared by the benchmark binaries:
+ * High-level experiment runner shared by the experiment cells and tools:
  * generate (and cache) the synthetic trace a named system needs,
  * run it, and return the results.
  *

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared helpers for the figure-regenerating benchmark binaries.
+ * Shared helpers for the experiment renders.
  */
 
 #ifndef OSCACHE_REPORT_FIGURES_HH
@@ -33,17 +33,6 @@ cellVsPaper(double measured, double paper_value, int decimals = 2)
 {
     return formatValue(measured, decimals) + " | " +
            formatValue(paper_value, decimals);
-}
-
-/** Run every workload on @p kind and return the results. */
-inline std::vector<RunResult>
-runAllWorkloads(SystemKind kind,
-                const MachineConfig &machine = MachineConfig::base())
-{
-    std::vector<RunResult> results;
-    for (WorkloadKind w : allWorkloads)
-        results.push_back(runWorkload(w, kind, machine));
-    return results;
 }
 
 /** The standard four workload column headers. */

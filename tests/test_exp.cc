@@ -20,11 +20,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "exp/artifact_cache.hh"
 #include "exp/driver.hh"
 #include "exp/hash.hh"
 #include "exp/pool.hh"
 #include "exp/registry.hh"
+#include "exp/results.hh"
 #include "report/experiment.hh"
 #include "synth/generator.hh"
 
@@ -330,6 +332,25 @@ TEST(ExpScheduler, WarmArtifactCacheSkipsGeneration)
         EXPECT_GT(warm.traceStats.persistentHits, 0u);
     }
     clearTraceCache();
+}
+
+// ------------------------------------------------------------ results
+
+TEST(ExpResults, ControlCharactersInNamesStayValidJson)
+{
+    CellOutcome outcome;
+    outcome.extra["tab\tkey"] = 1.5;
+    ResultRow row;
+    row.experiment = "exp\tname";
+    row.cell = "cell\r1";
+    row.outcome = &outcome;
+
+    Json parsed;
+    std::string error;
+    ASSERT_TRUE(Json::parse(resultRowJsonl(row), parsed, &error)) << error;
+    EXPECT_EQ(parsed.get("experiment").asString(), "exp\tname");
+    EXPECT_EQ(parsed.get("cell").asString(), "cell\r1");
+    EXPECT_EQ(parsed.get("extra").get("tab\tkey").asDouble(), 1.5);
 }
 
 // ----------------------------------------------------------- registry

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/version.hh"
 #include "core/hotspot/hotspot.hh"
 #include "core/runner.hh"
@@ -212,6 +213,25 @@ TEST(TimelineTest, ChromeTraceJsonShape)
     EXPECT_NE(json.find("process_name"), std::string::npos);
     EXPECT_NE(json.find("unit-test"), std::string::npos);
     EXPECT_NE(json.find("\"droppedEvents\":0"), std::string::npos);
+}
+
+TEST(TimelineTest, ControlCharactersInNamesStayValidJson)
+{
+    Timeline tl(4);
+    tl.span("tab\tname", "cat\x01", 10, 20, 0, "arg\rname", 3);
+    std::ostringstream os;
+    tl.writeChromeTrace(os, "proc\tname");
+
+    Json doc;
+    std::string error;
+    ASSERT_TRUE(Json::parse(os.str(), doc, &error)) << error;
+    const Json &events = doc.get("traceEvents");
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events.at(0).get("args").get("name").asString(),
+              "proc\tname");
+    EXPECT_EQ(events.at(1).get("name").asString(), "tab\tname");
+    EXPECT_EQ(events.at(1).get("cat").asString(), "cat\x01");
+    EXPECT_EQ(events.at(1).get("args").get("arg\rname").asInt(), 3);
 }
 
 TEST(TimelineTest, InternedNamesSurviveSourceString)

@@ -52,14 +52,7 @@ import json, os, sys, datetime
 
 bench_path, perf_path, label = sys.argv[1:4]
 
-# The perf_simulator output is only fully valid JSON when the micro
-# benchmarks run; index-scan the replay array out instead of parsing
-# the whole document.
-text = open(perf_path).read()
-i = text.index('"replay"')
-j = text.index('[', i)
-k = text.index(']', j)
-rows = json.loads(text[j:k + 1])
+rows = json.load(open(perf_path))["replay"]
 
 doc = json.load(open(bench_path))
 entry = {

@@ -45,7 +45,8 @@ usage()
         "\n"
         "Experiments are registry names (figure1..figure7, "
         "table1..table5,\n"
-        "ablation_*, numa_server) or the groups: figures, tables,\n"
+        "ablation_*, calibrate, extension_*, robustness_seeds,\n"
+        "numa_server; see --list) or the groups: figures, tables,\n"
         "ablations, numa, all.\n"
         "\n"
         "options:\n"

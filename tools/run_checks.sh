@@ -140,7 +140,7 @@ done
 # fuzz corpus (reproducible: seeds 0..1999; ~40% of the cases draw a
 # multi-socket NUMA geometry), and on a short fresh-seed run whose
 # base seed is printed so any divergence can be replayed with
-# `oscache-dft fuzz --seed-base N --count 1`.  The 19 golden
+# `oscache-dft fuzz --seed-base N --count 1`.  The 24 golden
 # experiment cells must match the blessed snapshot
 # (tests/golden/cells.jsonl; re-bless with `oscache-dft golden
 # --bless` after an intentional behaviour change).
@@ -231,14 +231,16 @@ echo "== serve: fleet smoke (4 workers, 8 clients, kill -9) =="
 
 # Performance stage: an optimized build must (a) still pass the
 # batched-replay/MarkTable safety net (`ctest -L Perf` — the ASan
-# ctest above already ran it unoptimized) and (b) hold the replay
-# throughput recorded in BENCH_perf.json.  The replay benchmarks run
-# flat-bus machines, so this doubles as the guard that the NUMA
-# branches stayed off the single-socket fast path.  Throughput is measured as
-# the perf_simulator replay section (min-of-2 per workload) on a
-# Release+LTO tree; any workload more than 5% below the latest
-# BENCH_perf.json entry fails the sweep.  After an intentional
-# engine change, re-baseline with `tools/bench_append.sh perf`.
+# ctest above already ran it unoptimized), (b) reproduce the
+# canonical rows of the whole experiment suite, and (c) hold the
+# replay throughput recorded in BENCH_perf.json.  The replay
+# benchmarks run flat-bus machines, so this doubles as the guard
+# that the NUMA branches stayed off the single-socket fast path.
+# Throughput is measured as the perf_simulator replay section (best
+# of 3 per workload) on a Release+LTO tree; any workload more than 5%
+# below the latest BENCH_perf.json entry fails the sweep.  After an
+# intentional engine change, re-baseline with
+# `tools/bench_append.sh perf`.
 perf_build="$build-perf"
 echo "== configure perf ($perf_build, Release+LTO) =="
 cmake -B "$perf_build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
@@ -246,10 +248,27 @@ cmake -B "$perf_build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
 
 echo "== build perf =="
 cmake --build "$perf_build" -j "$jobs" --target perf_simulator \
-    test_perf_equiv
+    test_perf_equiv oscache_bench
 
 echo "== ctest perf (label Perf, optimized build) =="
 ctest --test-dir "$perf_build" --output-on-failure -j "$jobs" -L Perf
+
+# Whole-suite pin: every registered experiment's canonical rows,
+# sorted, must equal tests/golden/suite.jsonl byte for byte.  After
+# an intentional behaviour change, regenerate the file with the same
+# two commands and review the diff.
+echo "== suite pin: canonical rows of all experiments =="
+"$perf_build/tools/oscache-bench" --canonical-results --no-cache \
+    --quiet --jobs "$jobs" --results "$tracedir/suite" all > /dev/null
+LC_ALL=C sort "$tracedir/suite.jsonl" > "$tracedir/suite.sorted.jsonl"
+if ! cmp -s "$repo/tests/golden/suite.jsonl" "$tracedir/suite.sorted.jsonl"
+then
+    diff "$repo/tests/golden/suite.jsonl" "$tracedir/suite.sorted.jsonl" |
+        head -n 20
+    echo "suite pin failed: rows differ from tests/golden/suite.jsonl" >&2
+    exit 1
+fi
+echo "suite pin passed: $(wc -l < "$tracedir/suite.sorted.jsonl") rows"
 
 # Three full invocations, best per workload: a single run can lose
 # 15% to transient machine load, which would flake a 5% gate.
@@ -265,11 +284,7 @@ import json, sys
 bench_path = sys.argv[1]
 measured = {}
 for perf_path in sys.argv[2:]:
-    text = open(perf_path).read()
-    i = text.index('"replay"')
-    j = text.index('[', i)
-    k = text.index(']', j)
-    for r in json.loads(text[j:k + 1]):
+    for r in json.load(open(perf_path))["replay"]:
         best = measured.get(r["workload"])
         if best is None or r["accesses_per_sec"] > best["accesses_per_sec"]:
             measured[r["workload"]] = r
