@@ -2,18 +2,18 @@
  * @file
  * Minimal JSON value, parser, and serializer.
  *
- * The serving layer speaks length-prefixed JSON frames between the
- * daemon, its worker processes, and remote clients, so it needs to
- * *read* JSON — everything before it only wrote JSON with ad-hoc
- * ostringstream code.  This is a small, strict recursive-descent
- * implementation: UTF-8 pass-through, \uXXXX escapes decoded to
- * UTF-8, a hard recursion-depth cap so a hostile frame cannot blow
- * the stack, and precise error messages carrying the byte offset
- * (protocol tests assert on rejection, not just acceptance).
+ * The one JSON escaper (jsonEscapeString) behind the results sink
+ * and the Chrome timeline, the builder perfbench reports with, and
+ * the parser tests use to prove those outputs are valid JSON.  A
+ * small, strict recursive-descent implementation: UTF-8
+ * pass-through, \uXXXX escapes decoded to UTF-8, a hard
+ * recursion-depth cap so deeply nested input cannot blow the stack,
+ * and precise error messages carrying the byte offset (tests assert
+ * on rejection, not just acceptance).
  *
  * Numbers are held as double (plus an exact int64 view when the
  * text was integral); object member order is preserved so dumps are
- * deterministic and framing tests can compare bytes.
+ * deterministic and tests can compare bytes.
  */
 
 #ifndef OSCACHE_COMMON_JSON_HH

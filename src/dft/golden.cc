@@ -12,47 +12,13 @@ namespace oscache
 namespace dft
 {
 
-namespace
-{
-
-/**
- * Replace the value of numeric field @p key (e.g. "\"wall_ms\":") in
- * @p line with @p replacement.  The value runs to the next ',' or
- * '}'.  Rows are machine-generated, so the first occurrence is the
- * field itself.
- */
-void
-spliceField(std::string &line, const std::string &key,
-            const std::string &replacement)
-{
-    const std::size_t at = line.find(key);
-    if (at == std::string::npos)
-        return;
-    const std::size_t begin = at + key.size();
-    std::size_t end = begin;
-    while (end < line.size() && line[end] != ',' && line[end] != '}')
-        ++end;
-    line.replace(begin, end - begin, replacement);
-}
-
-} // namespace
-
-std::string
-normalizeResultLine(const std::string &line)
-{
-    std::string out = line;
-    spliceField(out, "\"wall_ms\":", "0");
-    spliceField(out, "\"peak_rss_kb\":", "0");
-    spliceField(out, "\"shared\":", "false");
-    return out;
-}
-
 std::vector<std::string>
 collectGoldenLines(const std::string &scratch_base, unsigned jobs)
 {
     DriverOptions options;
     options.jobs = jobs == 0 ? 1 : jobs;
     options.smoke = true;
+    options.canonicalResults = true;
     options.resultsBase = scratch_base;
     runExperiments(resolveExperiments({"all"}), options);
 
@@ -63,7 +29,7 @@ collectGoldenLines(const std::string &scratch_base, unsigned jobs)
     std::string line;
     while (std::getline(in, line))
         if (!line.empty())
-            lines.push_back(normalizeResultLine(line));
+            lines.push_back(line);
     std::sort(lines.begin(), lines.end());
     return lines;
 }

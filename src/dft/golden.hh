@@ -10,13 +10,13 @@
  * line-level diff and must consciously re-bless with
  * `oscache-dft golden --bless`.
  *
- * Normalization: the rows the results sink writes carry per-run
- * volatile fields — wall-clock cost, peak RSS, and whether the
- * scheduler satisfied the cell from a shared outcome.  These are
- * zeroed before comparison; everything else (all simulator statistics,
- * printed at full precision) must match exactly.  Rows are sorted, so
- * the completion order of the scheduler's worker threads does not
- * matter.
+ * The rows are canonical (DriverOptions::canonicalResults): the
+ * fields that vary run to run — wall-clock cost, peak RSS, the trace
+ * mode, and whether the scheduler satisfied the cell from a shared
+ * outcome — are written as zero/false/empty, so everything else (all
+ * simulator statistics, printed at full precision) must match
+ * exactly.  Rows are sorted, so the completion order of the
+ * scheduler's worker threads does not matter.
  */
 
 #ifndef OSCACHE_DFT_GOLDEN_HH
@@ -30,12 +30,9 @@ namespace oscache
 namespace dft
 {
 
-/** Zero the volatile fields (wall_ms, peak_rss_kb, shared) of a row. */
-std::string normalizeResultLine(const std::string &line);
-
 /**
  * Run every registered experiment's smoke cell and return the
- * normalized, sorted result rows.  @p scratch_base is where the
+ * canonical, sorted result rows.  @p scratch_base is where the
  * results sink writes its working files (base + ".jsonl"/".csv",
  * overwritten); @p jobs sizes the scheduling pool.
  */

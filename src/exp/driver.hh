@@ -56,8 +56,9 @@ struct DriverOptions
     std::string resultsBase;
     /**
      * Emit canonical result rows (run-to-run fields zeroed; see
-     * ResultRow::canonical) — comparable byte-for-byte against a
-     * sharded oscache-served run of the same cells.
+     * ResultRow::canonical) — comparable byte-for-byte against any
+     * other run of the same cells, whatever its job count or cache
+     * state.
      */
     bool canonicalResults = false;
     /**

@@ -93,19 +93,7 @@ ResultsSink::ResultsSink(const std::string &basePath) : base(basePath)
 }
 
 std::string
-resultRowIdentityJson(const ResultRow &row)
-{
-    std::ostringstream js;
-    js << "{\"experiment\":\"" << jsonEscapeString(row.experiment) << "\""
-       << ",\"cell\":\"" << jsonEscapeString(row.cell) << "\""
-       << ",\"workload\":\"" << jsonEscapeString(row.workload) << "\""
-       << ",\"system\":\"" << jsonEscapeString(row.system) << "\""
-       << ",\"machine\":\"" << jsonEscapeString(row.machineHash) << "\"";
-    return js.str();
-}
-
-std::string
-resultRowOutcomeJson(const ResultRow &row)
+resultRowJsonl(const ResultRow &row)
 {
     if (row.outcome == nullptr)
         panic("results sink: row without outcome");
@@ -119,7 +107,12 @@ resultRowOutcomeJson(const ResultRow &row)
     const long peak_rss_kb = row.canonical ? 0 : row.peakRssKb;
 
     std::ostringstream js;
-    js << ",\"wall_ms\":" << formatDouble(wall_ms)
+    js << "{\"experiment\":\"" << jsonEscapeString(row.experiment) << "\""
+       << ",\"cell\":\"" << jsonEscapeString(row.cell) << "\""
+       << ",\"workload\":\"" << jsonEscapeString(row.workload) << "\""
+       << ",\"system\":\"" << jsonEscapeString(row.system) << "\""
+       << ",\"machine\":\"" << jsonEscapeString(row.machineHash) << "\""
+       << ",\"wall_ms\":" << formatDouble(wall_ms)
        << ",\"shared\":" << (shared ? "true" : "false")
        << ",\"trace_mode\":\"" << jsonEscapeString(trace_mode) << "\""
        << ",\"peak_rss_kb\":" << peak_rss_kb
@@ -217,12 +210,6 @@ resultRowOutcomeJson(const ResultRow &row)
     }
     js << "}";
     return js.str();
-}
-
-std::string
-resultRowJsonl(const ResultRow &row)
-{
-    return resultRowIdentityJson(row) + resultRowOutcomeJson(row);
 }
 
 void

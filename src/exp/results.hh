@@ -43,10 +43,8 @@ struct ResultRow
      * Canonical mode: suppress the fields that vary run-to-run
      * (wall_ms, shared, trace_mode, peak_rss_kb are emitted as
      * zero/false/empty) so the line is a pure function of the cell's
-     * simulation outcome.  The serving layer stores and streams
-     * canonical rows — a cached result must be byte-identical to a
-     * fresh one — and `oscache-bench --canonical-results` emits the
-     * same form for cross-checking sharded runs.
+     * simulation outcome.  The golden snapshots (tests/golden/) pin
+     * canonical rows, so a rerun diffs clean against them.
      */
     bool canonical = false;
     const CellOutcome *outcome = nullptr;
@@ -54,21 +52,11 @@ struct ResultRow
 
 /**
  * Render @p row as one JSONL line (no trailing newline) — the exact
- * bytes ResultsSink appends.  Exposed so the serve workers can
- * produce sink-identical lines without a sink.  The line is the
- * concatenation of the two fragments below, which the serving layer
- * uses separately: the identity prefix needs no simulation, and the
- * outcome suffix of a canonical row is a pure function of the cell's
- * work — so one cached suffix serves every (experiment, cell) alias
- * of the same work key.
+ * bytes ResultsSink appends.  Exposed so callers that need a row's
+ * bytes without writing a sink (perfbench digests, tests) produce
+ * the same line.
  */
 std::string resultRowJsonl(const ResultRow &row);
-
-/** '{"experiment":...,"machine":"..."' — identity fields only. */
-std::string resultRowIdentityJson(const ResultRow &row);
-
-/** ',"wall_ms":...}' — everything derived from the outcome. */
-std::string resultRowOutcomeJson(const ResultRow &row);
 
 /**
  * Line-durable file: every line is written with a full write() loop

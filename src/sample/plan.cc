@@ -10,13 +10,17 @@ namespace oscache
 namespace sample
 {
 
-std::uint64_t
-parseCount(const std::string &text)
+namespace
+{
+
+/** parseCount()'s grammar; false on malformed input. */
+bool
+tryParseCount(const std::string &text, std::uint64_t &out)
 {
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
     if (end == text.c_str() || value < 0)
-        fatal("sampling plan: bad count '", text, "'");
+        return false;
     double scale = 1;
     switch (*end) {
       case '\0':
@@ -34,13 +38,11 @@ parseCount(const std::string &text)
         scale = 1e9;
         break;
       default:
-        fatal("sampling plan: bad suffix in '", text, "'");
+        return false;
     }
-    return std::uint64_t(value * scale);
+    out = std::uint64_t(value * scale);
+    return true;
 }
-
-namespace
-{
 
 std::string
 compact(std::uint64_t n)
@@ -56,6 +58,15 @@ compact(std::uint64_t n)
 }
 
 } // namespace
+
+std::uint64_t
+parseCount(const std::string &text)
+{
+    std::uint64_t count = 0;
+    if (!tryParseCount(text, count))
+        fatal("sampling plan: bad count '", text, "'");
+    return count;
+}
 
 std::string
 SamplingPlan::describe() const
@@ -75,24 +86,6 @@ SamplingPlan::tryParse(const std::string &text, std::string *error)
         if (error != nullptr)
             *error = std::move(why);
         return std::nullopt;
-    };
-    // Non-exiting twin of parseCount(): same grammar, error out-param.
-    const auto try_count = [](const std::string &t,
-                              std::uint64_t &out) -> bool {
-        char *end = nullptr;
-        const double value = std::strtod(t.c_str(), &end);
-        if (end == t.c_str() || value < 0)
-            return false;
-        double scale = 1;
-        switch (*end) {
-          case '\0': break;
-          case 'k': case 'K': scale = 1e3; break;
-          case 'm': case 'M': scale = 1e6; break;
-          case 'g': case 'G': scale = 1e9; break;
-          default: return false;
-        }
-        out = std::uint64_t(value * scale);
-        return true;
     };
 
     SamplingPlan plan;
@@ -114,7 +107,7 @@ SamplingPlan::tryParse(const std::string &text, std::string *error)
                 return reject("bad value '" + value + "' for error");
             continue;
         }
-        if (!try_count(value, count))
+        if (!tryParseCount(value, count))
             return reject("bad count '" + value + "' for " + key);
         if (key == "period")
             plan.period = count;

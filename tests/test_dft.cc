@@ -448,20 +448,9 @@ TEST(DftPropertyTest, OracleCountsInvariantUnderIdleInsertion)
 }
 
 // ---------------------------------------------------------------------
-// Golden normalization unit checks (the full 18-cell comparison runs
-// as the oscache_dft_golden ctest entry).
+// Golden comparison unit check (the full 24-cell comparison runs as
+// the oscache_dft_golden ctest entry).
 // ---------------------------------------------------------------------
-
-TEST(DftGoldenTest, NormalizationZeroesVolatileFieldsOnly)
-{
-    const std::string row =
-        "{\"experiment\":\"figure1\",\"cell\":\"x\",\"wall_ms\":12.5,"
-        "\"shared\":true,\"peak_rss_kb\":4096,\"stats\":{\"os_time\":42}}";
-    EXPECT_EQ(dft::normalizeResultLine(row),
-              "{\"experiment\":\"figure1\",\"cell\":\"x\",\"wall_ms\":0,"
-              "\"shared\":false,\"peak_rss_kb\":0,"
-              "\"stats\":{\"os_time\":42}}");
-}
 
 TEST(DftGoldenTest, CompareReportsMissingAndExtraRows)
 {

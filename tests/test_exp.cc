@@ -10,6 +10,9 @@
  * tools/run_checks.sh can select them with `ctest -R '^Exp'`.
  */
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -213,6 +216,57 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
     EXPECT_TRUE(store.load(key).has_value());
 }
 
+TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
+{
+    // Same discipline, one layer down: the trace artifact cache that
+    // all workers share.  Two processes store the same key
+    // concurrently; readers must only ever see a complete artifact.
+    const std::string dir = "/tmp/oscache_test_serve_trace_race";
+    fs::remove_all(dir);
+
+    WorkloadProfile profile =
+        WorkloadProfile::forKind(WorkloadKind::Trfd4);
+    profile.quanta = 2;
+    const Trace trace =
+        generateTrace(profile, CoherenceOptions::none());
+    const std::string key =
+        TraceStore::keyFor(profile, CoherenceOptions::none());
+
+    pid_t writers[2];
+    for (int w = 0; w < 2; ++w) {
+        writers[w] = ::fork();
+        ASSERT_GE(writers[w], 0);
+        if (writers[w] == 0) {
+            TraceStore mine(dir);
+            for (int i = 0; i < 10; ++i)
+                mine.store(key, trace);
+            ::_exit(0);
+        }
+    }
+
+    TraceStore reader(dir);
+    int alive = 2;
+    int reaped_ok = 0;
+    while (alive > 0) {
+        const auto loaded = reader.load(key);
+        if (loaded.has_value()) {
+            EXPECT_EQ(loaded->totalRecords(), trace.totalRecords());
+        }
+        for (const pid_t w : writers) {
+            int status = 0;
+            if (::waitpid(w, &status, WNOHANG) == w) {
+                --alive;
+                if (status == 0)
+                    ++reaped_ok;
+            }
+        }
+    }
+    EXPECT_EQ(reaped_ok, 2);
+    EXPECT_EQ(reader.rejected(), 0u)
+        << "a reader saw a torn artifact";
+    ASSERT_TRUE(reader.load(key).has_value());
+}
+
 // -------------------------------------------------------- trace cache
 
 TEST(ExpTraceCache, ConcurrentRequestsGenerateOnce)
@@ -351,6 +405,49 @@ TEST(ExpResults, ControlCharactersInNamesStayValidJson)
     EXPECT_EQ(parsed.get("experiment").asString(), "exp\tname");
     EXPECT_EQ(parsed.get("cell").asString(), "cell\r1");
     EXPECT_EQ(parsed.get("extra").get("tab\tkey").asDouble(), 1.5);
+}
+
+TEST(ExpResults, CanonicalRowZeroesRunVaryingFields)
+{
+    CellOutcome outcome;
+    outcome.run.stats.userMisses = 42;
+    outcome.run.stats.osMissOther = 7;
+    ResultRow row;
+    row.experiment = "table2";
+    row.cell = "base/trfd4";
+    row.wallMs = 1234.5;
+    row.peakRssKb = 65536;
+    row.shared = true;
+    row.traceMode = "materialized";
+    row.outcome = &outcome;
+
+    Json plain, canonical;
+    ASSERT_TRUE(Json::parse(resultRowJsonl(row), plain));
+    row.canonical = true;
+    ASSERT_TRUE(Json::parse(resultRowJsonl(row), canonical));
+
+    EXPECT_EQ(plain.get("wall_ms").asDouble(), 1234.5);
+    EXPECT_EQ(plain.get("peak_rss_kb").asInt(), 65536);
+    EXPECT_TRUE(plain.get("shared").asBool());
+    EXPECT_EQ(plain.get("trace_mode").asString(), "materialized");
+
+    const std::set<std::string> varying = {"wall_ms", "peak_rss_kb",
+                                           "shared", "trace_mode"};
+    ASSERT_EQ(canonical.members().size(), plain.members().size());
+    for (std::size_t i = 0; i < plain.members().size(); ++i) {
+        const auto &[key, value] = canonical.members()[i];
+        ASSERT_EQ(key, plain.members()[i].first);
+        if (varying.count(key) == 0) {
+            EXPECT_EQ(value.dump(), plain.members()[i].second.dump())
+                << key;
+        }
+    }
+    EXPECT_EQ(canonical.get("wall_ms").asDouble(1.0), 0.0);
+    EXPECT_EQ(canonical.get("peak_rss_kb").asInt(1), 0);
+    EXPECT_TRUE(canonical.get("shared").isBool());
+    EXPECT_FALSE(canonical.get("shared").asBool(true));
+    EXPECT_EQ(canonical.get("trace_mode").asString(), "");
+    EXPECT_EQ(canonical.get("stats").get("user_misses").asInt(), 42);
 }
 
 // ----------------------------------------------------------- registry

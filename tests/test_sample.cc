@@ -108,6 +108,26 @@ TEST(SamplePlan, ParseAcceptsSuffixesAndSubsets)
     EXPECT_EQ(parseCount("2g"), 2'000'000'000u);
 }
 
+TEST(SamplePlan, TryParseMirrorsParse)
+{
+    const auto good = sample::SamplingPlan::tryParse(
+        "period=100k,measure=2k,warmup=8k");
+    ASSERT_TRUE(good.has_value());
+    EXPECT_EQ(good->period, 100'000u);
+    EXPECT_EQ(good->measure, 2'000u);
+
+    std::string error;
+    EXPECT_FALSE(sample::SamplingPlan::tryParse("period=", &error)
+                     .has_value());
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(
+        sample::SamplingPlan::tryParse("bogus=1", &error).has_value());
+    EXPECT_FALSE(sample::SamplingPlan::tryParse(
+                     "period=1k,measure=2k,warmup=8k", &error)
+                     .has_value())
+        << "invalid geometry (warmup+measure > period) must be caught";
+}
+
 TEST(SamplePlan, EscalationHalvesButNeverUnderflows)
 {
     SamplingPlan plan;

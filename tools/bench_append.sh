@@ -3,7 +3,6 @@
 # append the result to BENCH_sampling.json at the repo root.
 #
 # Usage: tools/bench_append.sh [build-dir] [quanta] [plan]
-#        tools/bench_append.sh serve [build-dir]
 #        tools/bench_append.sh perf [build-dir] [label]
 #
 #   build-dir  build tree with oscache + oscache-sample (default: build)
@@ -14,11 +13,6 @@
 # and full through `oscache-sample run --compare-full --json`, and the
 # JSON line is merged into the entries array with the record count and
 # trace size attached.  Requires python3 for the JSON merge.
-#
-# The `serve` mode instead measures the sharded fleet: one
-# oscache-served daemon per worker count (1, 2, 4), each with a cold
-# result store, timed over a full smoke-suite submit from one client,
-# and appends {workers -> cells/sec} scaling to BENCH_serve.json.
 #
 # The `perf` mode measures raw replay throughput: it configures a
 # Release+LTO tree if the given build-dir has none, runs the
@@ -69,87 +63,6 @@ with open(bench_path, "w") as f:
 print("appended: " + ", ".join(
     "%s=%.2fM acc/s" % (r["workload"], r["accesses_per_sec"] / 1e6)
     for r in rows))
-EOF
-    exit 0
-fi
-
-if [ "${1:-}" = "serve" ]; then
-    build=${2:-"$repo/build"}
-    bench="$repo/BENCH_serve.json"
-    scratch=$(mktemp -d)
-    trap 'rm -rf "$scratch"' EXIT
-
-    rows="["
-    sep=""
-    for n in 1 2 4; do
-        sock="$scratch/serve-$n.sock"
-        store="$scratch/store-$n"
-        "$build/tools/oscache-served" --socket "$sock" --workers "$n" \
-            --store "$store" > "$scratch/daemon-$n.log" 2>&1 &
-        daemon=$!
-        tries=0
-        until "$build/tools/oscache-servectl" --socket "$sock" \
-                --quiet ping; do
-            tries=$((tries + 1))
-            [ "$tries" -ge 100 ] && {
-                cat "$scratch/daemon-$n.log" >&2
-                echo "serve bench: daemon ($n workers) never came up" >&2
-                exit 1
-            }
-            sleep 0.2
-        done
-
-        echo "== serve: smoke suite, $n worker(s), cold store =="
-        t0=$(date +%s%N)
-        "$build/tools/oscache-servectl" --socket "$sock" --quiet \
-            --smoke --out "$scratch/rows-$n.jsonl" submit all
-        t1=$(date +%s%N)
-        "$build/tools/oscache-servectl" --socket "$sock" --quiet drain
-        wait "$daemon"
-
-        cells=$(wc -l < "$scratch/rows-$n.jsonl")
-        wall_ms=$(( (t1 - t0) / 1000000 ))
-        echo "   $cells cells in ${wall_ms} ms"
-        rows="$rows$sep{\"workers\":$n,\"cells\":$cells,\
-\"wall_ms\":$wall_ms}"
-        sep=","
-    done
-    rows="$rows]"
-
-    python3 - "$bench" "$rows" << 'EOF'
-import json, os, sys, datetime
-
-bench_path, runs_json = sys.argv[1:3]
-runs = json.loads(runs_json)
-doc = json.load(open(bench_path))
-
-entry = {
-    "date": datetime.date.today().isoformat(),
-    "host": os.uname().sysname.lower() + "-" + os.uname().machine,
-    "suite": "smoke (all experiments)",
-    "runs": [
-        {
-            "workers": r["workers"],
-            "cells": r["cells"],
-            "wall_ms": r["wall_ms"],
-            "cells_per_sec": round(
-                r["cells"] * 1000.0 / r["wall_ms"], 2)
-            if r["wall_ms"] else 0.0,
-        }
-        for r in runs
-    ],
-}
-base = entry["runs"][0]["cells_per_sec"]
-for r in entry["runs"]:
-    r["scaling_vs_1_worker"] = (
-        round(r["cells_per_sec"] / base, 2) if base else 0.0)
-doc["entries"].append(entry)
-with open(bench_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print("appended: " + ", ".join(
-    "%dw=%.1f cells/s" % (r["workers"], r["cells_per_sec"])
-    for r in entry["runs"]))
 EOF
     exit 0
 fi

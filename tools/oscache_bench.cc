@@ -16,13 +16,14 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "exp/artifact_cache.hh"
@@ -72,7 +73,7 @@ usage()
         "  --canonical-results\n"
         "                  zero run-varying result fields (wall_ms,\n"
         "                  rss, trace_mode, shared) so the JSONL is\n"
-        "                  byte-comparable with an oscache-served run\n"
+        "                  byte-comparable across runs\n"
         "  --sample PLAN   replay cells under a SMARTS-style sampling\n"
         "                  plan (key=value pairs: period, measure,\n"
         "                  warmup, error, rounds, spinbreak; e.g.\n"
@@ -120,9 +121,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs" || arg == "-j") {
-            jobs = unsigned(std::strtoul(value().c_str(), nullptr, 10));
-            if (jobs == 0)
-                fatal("--jobs must be >= 1");
+            jobs = unsigned(parseUnsignedFlag(arg, value(), 1, maxJobs));
         } else if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--cache-dir") {
@@ -132,13 +131,10 @@ main(int argc, char **argv)
         } else if (arg == "--stream") {
             stream = true;
         } else if (arg == "--stream-buffer") {
-            stream_buffer = std::strtoul(value().c_str(), nullptr, 10);
-            if (stream_buffer == 0)
-                fatal("--stream-buffer must be >= 1");
+            stream_buffer = parseUnsignedFlag(arg, value(), 1);
         } else if (arg == "--trace-cache-mb") {
             trace_cache_bytes =
-                std::strtoul(value().c_str(), nullptr, 10) *
-                std::size_t{1024} * 1024;
+                parseUnsignedFlag(arg, value(), 0, SIZE_MAX >> 20) << 20;
         } else if (arg == "--results") {
             results_base = value();
             if (results_base == "-")

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "core/blockop/schemes.hh"
@@ -367,9 +368,7 @@ main(int argc, char **argv)
             seed_base = std::strtoull(value().c_str(), nullptr, 10);
             seed_base_set = true;
         } else if (arg == "--jobs" || arg == "-j") {
-            jobs = unsigned(std::strtoul(value().c_str(), nullptr, 10));
-            if (jobs == 0)
-                fatal("--jobs must be >= 1");
+            jobs = unsigned(parseUnsignedFlag(arg, value(), 1, maxJobs));
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--bless") {
