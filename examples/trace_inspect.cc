@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "synth/generator.hh"
@@ -110,8 +111,6 @@ main(int argc, char **argv)
             if (i + 1 >= argc)
                 fatal("--convert needs an output path");
             convert_out = argv[++i];
-        } else if (std::strcmp(argv[i], "--binary") == 0) {
-            convert_format = TraceFormat::Binary;
         } else if (std::strcmp(argv[i], "--chunked") == 0) {
             convert_format = TraceFormat::Chunked;
         } else if (std::strcmp(argv[i], "--text") == 0) {
@@ -122,9 +121,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--buffer") == 0) {
             if (i + 1 >= argc)
                 fatal("--buffer needs a record count");
-            buffer_records = std::strtoul(argv[++i], nullptr, 10);
-            if (buffer_records == 0)
-                fatal("--buffer must be >= 1");
+            buffer_records = parseUnsignedFlag("--buffer", argv[++i], 1);
         } else if (argv[i][0] == '-') {
             fatal("unknown flag '", argv[i], "'");
         } else {
@@ -157,14 +154,12 @@ main(int argc, char **argv)
                         total, convert_out.c_str(), buffer_records);
             return 0;
         }
-        // Text and binary v2 carry whole-trace counts in their
-        // headers, so the output (not the input) must materialize.
+        // Text groups each cpu's records under one stream directive,
+        // so the output (not the input) must materialize.
         const Trace trace = materialize(*source);
         writeTraceFile(convert_out, trace, convert_format);
-        std::printf("wrote %zu records to %s (%s format)\n",
-                    trace.totalRecords(), convert_out.c_str(),
-                    convert_format == TraceFormat::Binary ? "binary"
-                                                          : "text");
+        std::printf("wrote %zu records to %s (text format)\n",
+                    trace.totalRecords(), convert_out.c_str());
         return 0;
     }
 

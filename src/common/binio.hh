@@ -1,7 +1,7 @@
 /**
  * @file
  * Checksummed binary stream primitives shared by every on-disk
- * format in the repo: the trace serializers (v2/v3, src/trace) and
+ * format in the repo: the trace serializers (src/trace) and
  * the live-points checkpoint store (v1, src/sample).
  *
  * A writer mixes every byte it emits into a streaming FNV-1a sum so
@@ -83,6 +83,17 @@ class BinaryReader
             return false;
         std::memcpy(&value, buf, sizeof(T));
         sum.mix(buf, sizeof(T));
+        return true;
+    }
+
+    /** Read @p size raw bytes into @p data; false if the stream is short. */
+    bool
+    getBytes(char *data, std::size_t size)
+    {
+        is.read(data, std::streamsize(size));
+        if (is.gcount() != std::streamsize(size))
+            return false;
+        sum.mix(data, size);
         return true;
     }
 

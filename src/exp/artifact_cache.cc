@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -43,6 +44,40 @@ tempNameFor(const std::string &path)
     return name.str();
 }
 
+/**
+ * Write an artifact with @p write to a temp name next to @p path and
+ * rename it into place, so readers never see a half-written file.
+ * Concurrent writers of one key each use their own temp name and the
+ * last rename wins; a failed write or rename leaves nothing behind.
+ */
+void
+publish(const std::string &path,
+        const std::function<void(std::ostream &)> &write)
+{
+    const std::string tmp = tempNameFor(path);
+    {
+        std::ofstream os(tmp, std::ios::out | std::ios::binary |
+                                  std::ios::trunc);
+        if (!os) {
+            warn("artifact cache: cannot write '", tmp, "'");
+            return;
+        }
+        write(os);
+        if (!os) {
+            warn("artifact cache: error writing '", tmp, "'");
+            std::error_code ec;
+            fs::remove(tmp, ec);
+            return;
+        }
+    }
+    std::error_code ec;
+    fs::rename(tmp, path, ec);
+    if (ec) {
+        warn("artifact cache: cannot rename '", tmp, "': ", ec.message());
+        fs::remove(tmp, ec);
+    }
+}
+
 } // namespace
 
 TraceStore::TraceStore(std::string directory) : root(std::move(directory))
@@ -58,18 +93,24 @@ std::string
 TraceStore::keyFor(const WorkloadProfile &profile,
                    const CoherenceOptions &options, unsigned num_cpus)
 {
-    ContentHash h;
-    h.mix(traceBinaryVersion);
-    h.mix(num_cpus);
-    mixProfile(h, profile);
-    mixCoherence(h, options);
-    return h.hex();
+    return traceContentKey(profile, options, num_cpus);
 }
 
 std::string
 TraceStore::pathFor(const std::string &key) const
 {
     return root + "/trace_" + key + ".otb";
+}
+
+void
+TraceStore::reject(const std::string &path, const std::string &why)
+{
+    warn("artifact cache: rejecting corrupt '", path, "' (", why,
+         "); will regenerate");
+    std::error_code ec;
+    fs::remove(path, ec);
+    rejectCount.fetch_add(1);
+    missCount.fetch_add(1);
 }
 
 std::optional<Trace>
@@ -84,13 +125,8 @@ TraceStore::load(const std::string &key)
     Trace trace(1);
     std::string why;
     if (!tryReadTraceBinary(is, trace, &why)) {
-        warn("artifact cache: rejecting corrupt '", path, "' (", why,
-             "); will regenerate");
         is.close();
-        std::error_code ec;
-        fs::remove(path, ec);
-        rejectCount.fetch_add(1);
-        missCount.fetch_add(1);
+        reject(path, why);
         return std::nullopt;
     }
     hitCount.fetch_add(1);
@@ -109,11 +145,7 @@ TraceStore::openSource(const std::string &key, std::size_t read_ahead)
     std::string why;
     auto source = FileTraceSource::tryOpen(path, read_ahead, &why);
     if (!source) {
-        warn("artifact cache: rejecting corrupt '", path, "' (", why,
-             "); will regenerate");
-        fs::remove(path, ec);
-        rejectCount.fetch_add(1);
-        missCount.fetch_add(1);
+        reject(path, why);
         return nullptr;
     }
     hitCount.fetch_add(1);
@@ -126,15 +158,7 @@ TraceStore::storeStreaming(const std::string &key,
                            const CoherenceOptions &options,
                            unsigned num_cpus)
 {
-    const std::string path = pathFor(key);
-    const std::string tmp = tempNameFor(path);
-    {
-        std::ofstream os(tmp, std::ios::out | std::ios::binary |
-                                  std::ios::trunc);
-        if (!os) {
-            warn("artifact cache: cannot write '", tmp, "'");
-            return;
-        }
+    publish(pathFor(key), [&](std::ostream &os) {
         TraceGenerator gen(profile, options, num_cpus);
         ChunkedTraceWriter writer(os, num_cpus, gen.updatePages());
         std::vector<RecordStream> chunk(num_cpus);
@@ -149,51 +173,14 @@ TraceStore::storeStreaming(const std::string &key,
             }
         }
         writer.finish(gen.blockOps());
-        if (!os) {
-            warn("artifact cache: error writing '", tmp, "'");
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return;
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("artifact cache: cannot rename '", tmp, "': ", ec.message());
-        fs::remove(tmp, ec);
-    }
+    });
 }
 
 void
 TraceStore::store(const std::string &key, const Trace &trace)
 {
-    const std::string path = pathFor(key);
-    // Unique temp name per writer so concurrent stores of different
-    // keys (or even a racing store of the same key, possibly from
-    // another process) never collide; the final rename is atomic
-    // within the directory.
-    const std::string tmp = tempNameFor(path);
-    {
-        std::ofstream os(tmp, std::ios::out | std::ios::binary |
-                                  std::ios::trunc);
-        if (!os) {
-            warn("artifact cache: cannot write '", tmp, "'");
-            return;
-        }
-        writeTraceBinary(os, trace);
-        if (!os) {
-            warn("artifact cache: error writing '", tmp, "'");
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return;
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("artifact cache: cannot rename '", tmp, "': ", ec.message());
-        fs::remove(tmp, ec);
-    }
+    publish(pathFor(key),
+            [&trace](std::ostream &os) { writeTraceChunked(os, trace); });
 }
 
 } // namespace oscache

@@ -7,10 +7,13 @@
  * coherence options on the same workload replays it).  The store
  * maps a content key — a hash of every generation input: the full
  * workload profile, the coherence options, the cpu count, and the
- * binary trace-format version — to a file in the compact binary
- * format (trace/io v2).  A warm directory turns a sweep's
- * generation phase into pure reloads; the acceptance bar is a rerun
- * with zero regenerations.
+ * binary trace-format version (traceContentKey in exp/hash.hh) — to
+ * a file in the chunked binary format (trace/io v3).  store() and
+ * storeStreaming() write the same bytes for the same trace, and
+ * load() and openSource() read either's artifact, so a materialized
+ * run and a streamed run share one store.  A warm directory turns a
+ * sweep's generation phase into pure reloads; the acceptance bar is
+ * a rerun with zero regenerations.
  *
  * Robustness: files are written to a temp name and renamed into
  * place so readers never see a half-written artifact, and any file
@@ -47,8 +50,9 @@ class TraceStore
 
     /**
      * Content key for a trace generated from (@p profile,
-     * @p options, @p num_cpus).  Stable across processes; changes
-     * whenever any generation input or the binary format changes.
+     * @p options, @p num_cpus): traceContentKey().  Stable across
+     * processes; changes whenever any generation input or the binary
+     * format changes.
      */
     static std::string keyFor(const WorkloadProfile &profile,
                               const CoherenceOptions &options,
@@ -99,6 +103,9 @@ class TraceStore
     /** @} */
 
   private:
+    /** Delete the corrupt artifact at @p path and count a miss. */
+    void reject(const std::string &path, const std::string &why);
+
     std::string root;
     std::atomic<std::uint64_t> hitCount{0};
     std::atomic<std::uint64_t> missCount{0};

@@ -23,6 +23,7 @@
 #include "core/cohopt.hh"
 #include "mem/config.hh"
 #include "synth/profile.hh"
+#include "trace/io.hh"
 
 namespace oscache
 {
@@ -110,6 +111,25 @@ mixCoherence(ContentHash &h, const CoherenceOptions &options)
     h.mix(options.privatizeCounters).mix(options.relocate);
     h.mix(options.selectiveUpdate);
     return h;
+}
+
+/**
+ * Content key of the trace generated from (@p profile, @p options,
+ * @p num_cpus): the one identity both the in-memory trace cache and
+ * the on-disk artifact store file traces under.  The binary format
+ * version is mixed in, so files written in an older format are never
+ * looked up.
+ */
+inline std::string
+traceContentKey(const WorkloadProfile &profile,
+                const CoherenceOptions &options, unsigned num_cpus)
+{
+    ContentHash h;
+    h.mix(traceBinaryVersion);
+    h.mix(num_cpus);
+    mixProfile(h, profile);
+    mixCoherence(h, options);
+    return h.hex();
 }
 
 /** Mix every field of a machine configuration. */

@@ -54,20 +54,6 @@ traceBytes(const Trace &trace)
            trace.updatePages().size() * sizeof(Addr);
 }
 
-/** Content-hash key for (workload, coherence options, cpu count). */
-std::string
-traceKey(WorkloadKind workload, const CoherenceOptions &options,
-         unsigned num_cpus)
-{
-    ContentHash h;
-    mixProfile(h, WorkloadProfile::forKind(workload));
-    mixCoherence(h, options);
-    // The historical keys were implicitly 4-cpu; keep them stable.
-    if (num_cpus != 4)
-        h.mix(num_cpus);
-    return h.hex();
-}
-
 /**
  * All mutable cache state behind one mutex.  Each entry is a shared
  * future acting as the per-key generation latch: the first requester
@@ -144,7 +130,8 @@ TracePtr
 cachedTrace(WorkloadKind workload, const CoherenceOptions &options,
             unsigned num_cpus)
 {
-    const std::string key = traceKey(workload, options, num_cpus);
+    const std::string key = traceContentKey(
+        WorkloadProfile::forKind(workload), options, num_cpus);
     CacheState &state = cacheState();
     CacheCounters &counters = cacheCounters();
 

@@ -177,41 +177,13 @@ parseRecordLine(const std::string &line)
     return rec;
 }
 
-bool
-getBlockOps(BinaryReader &r, BlockOpTable &ops, const char **why)
-{
-    std::uint64_t op_count = 0;
-    if (!r.get(op_count) || op_count > (1ull << 32)) {
-        *why = "bad block-op count";
-        return false;
-    }
-    for (std::uint64_t i = 0; i < op_count; ++i) {
-        BlockOp op;
-        std::uint8_t kind = 0;
-        std::uint8_t ro = 0;
-        if (!r.get(op.src) || !r.get(op.dst) || !r.get(op.size) ||
-            !r.get(kind) || !r.get(ro)) {
-            *why = "truncated block-op table";
-            return false;
-        }
-        if (kind > std::uint8_t(BlockOpKind::Zero) || ro > 1) {
-            *why = "bad block-op encoding";
-            return false;
-        }
-        op.kind = BlockOpKind(kind);
-        op.readOnlyAfter = ro != 0;
-        ops.add(op);
-    }
-    return true;
-}
-
 } // namespace iodetail
 
 using iodetail::BinaryReader;
 using iodetail::BinaryWriter;
 using iodetail::binaryMagic;
 using iodetail::chunkEndMarker;
-using iodetail::getBlockOps;
+using iodetail::recordWireBytes;
 
 void
 writeTrace(std::ostream &os, const Trace &trace)
@@ -338,172 +310,43 @@ putChecksum(std::ostream &os, std::uint64_t sum)
     os.write(buf, sizeof(sum));
 }
 
-} // namespace
-
-void
-writeTraceBinary(std::ostream &os, const Trace &trace)
-{
-    os.write(binaryMagic, sizeof(binaryMagic));
-    BinaryWriter w(os);
-    w.put(traceBinaryVersion);
-    w.put(std::uint32_t(trace.numCpus()));
-    putUpdatePages(w, trace.updatePages());
-    putBlockOps(w, trace.blockOps());
-
-    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
-        const RecordStream &stream = trace.stream(cpu);
-        w.put(std::uint64_t(stream.size()));
-        for (const TraceRecord &rec : stream)
-            iodetail::putRecord(w, rec);
-    }
-
-    // The checksum itself is excluded from the checksummed range.
-    putChecksum(os, w.checksum());
-}
-
-namespace
-{
-
 bool
-readBinaryV2Body(std::istream &is, BinaryReader &r, std::uint32_t cpus,
-                 Trace &out, std::string *error)
+getBlockOps(BinaryReader &r, BlockOpTable &ops, const char **why)
 {
-    const auto fail = [error](const char *why) {
-        if (error != nullptr)
-            *error = why;
+    std::uint64_t op_count = 0;
+    if (!r.get(op_count) || op_count > (1ull << 32)) {
+        *why = "bad block-op count";
         return false;
-    };
-
-    Trace trace(cpus);
-
-    std::uint64_t page_count = 0;
-    if (!r.get(page_count) || page_count > (1u << 20))
-        return fail("bad update-page count");
-    for (std::uint64_t i = 0; i < page_count; ++i) {
-        Addr page = 0;
-        if (!r.get(page))
-            return fail("truncated update pages");
-        trace.updatePages().insert(page);
     }
-
-    const char *why = nullptr;
-    if (!getBlockOps(r, trace.blockOps(), &why))
-        return fail(why);
-
-    for (CpuId cpu = 0; cpu < cpus; ++cpu) {
-        std::uint64_t count = 0;
-        if (!r.get(count))
-            return fail("truncated stream header");
-        RecordStream &stream = trace.stream(cpu);
-        stream.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            TraceRecord rec;
-            if (!iodetail::getRecord(r, rec, &why))
-                return fail(why);
-            if ((rec.type == RecordType::BlockOpBegin ||
-                 rec.type == RecordType::BlockOpEnd) &&
-                rec.aux >= trace.blockOps().size())
-                return fail("record references unknown block op");
-            stream.push_back(rec);
+    for (std::uint64_t i = 0; i < op_count; ++i) {
+        BlockOp op;
+        std::uint8_t kind = 0;
+        std::uint8_t ro = 0;
+        if (!r.get(op.src) || !r.get(op.dst) || !r.get(op.size) ||
+            !r.get(kind) || !r.get(ro)) {
+            *why = "truncated block-op table";
+            return false;
         }
+        if (kind > std::uint8_t(BlockOpKind::Zero) || ro > 1) {
+            *why = "bad block-op encoding";
+            return false;
+        }
+        op.kind = BlockOpKind(kind);
+        op.readOnlyAfter = ro != 0;
+        ops.add(op);
     }
-
-    const std::uint64_t expected = r.checksum();
-    std::uint64_t stored = 0;
-    {
-        char buf[sizeof(stored)];
-        is.read(buf, sizeof(buf));
-        if (is.gcount() != std::streamsize(sizeof(buf)))
-            return fail("missing checksum");
-        std::memcpy(&stored, buf, sizeof(stored));
-    }
-    if (stored != expected)
-        return fail("checksum mismatch");
-    if (is.peek() != std::istream::traits_type::eof())
-        return fail("trailing garbage");
-
-    out = std::move(trace);
     return true;
 }
 
-bool
-readChunkedV3Body(std::istream &is, BinaryReader &r, std::uint32_t cpus,
-                  Trace &out, std::string *error)
-{
-    const auto fail = [error](const char *why) {
-        if (error != nullptr)
-            *error = why;
-        return false;
-    };
-
-    Trace trace(cpus);
-
-    std::uint64_t page_count = 0;
-    if (!r.get(page_count) || page_count > (1u << 20))
-        return fail("bad update-page count");
-    for (std::uint64_t i = 0; i < page_count; ++i) {
-        Addr page = 0;
-        if (!r.get(page))
-            return fail("truncated update pages");
-        trace.updatePages().insert(page);
-    }
-
-    // Record chunks first; the table only arrives afterwards, so
-    // block-op references are bounds-checked at the end via the
-    // largest id seen.
-    std::uint64_t max_op_ref = 0;
-    bool any_op_ref = false;
-    const char *why = nullptr;
-    while (true) {
-        std::uint32_t cpu = 0;
-        if (!r.get(cpu))
-            return fail("truncated chunk header");
-        if (cpu == chunkEndMarker)
-            break;
-        std::uint32_t count = 0;
-        if (cpu >= cpus || !r.get(count))
-            return fail("bad chunk header");
-        RecordStream &stream = trace.stream(CpuId(cpu));
-        for (std::uint32_t i = 0; i < count; ++i) {
-            TraceRecord rec;
-            if (!iodetail::getRecord(r, rec, &why))
-                return fail(why);
-            if (rec.type == RecordType::BlockOpBegin ||
-                rec.type == RecordType::BlockOpEnd) {
-                any_op_ref = true;
-                max_op_ref = std::max<std::uint64_t>(max_op_ref, rec.aux);
-            }
-            stream.push_back(rec);
-        }
-    }
-
-    if (!getBlockOps(r, trace.blockOps(), &why))
-        return fail(why);
-    if (any_op_ref && max_op_ref >= trace.blockOps().size())
-        return fail("record references unknown block op");
-
-    const std::uint64_t expected = r.checksum();
-    std::uint64_t stored = 0;
-    {
-        char buf[sizeof(stored)];
-        is.read(buf, sizeof(buf));
-        if (is.gcount() != std::streamsize(sizeof(buf)))
-            return fail("missing checksum");
-        std::memcpy(&stored, buf, sizeof(stored));
-    }
-    if (stored != expected)
-        return fail("checksum mismatch");
-    if (is.peek() != std::istream::traits_type::eof())
-        return fail("trailing garbage");
-
-    out = std::move(trace);
-    return true;
-}
+/** Records read and validated per bulk read of a chunk payload. */
+constexpr std::uint32_t payloadBatchRecords = 4096;
 
 } // namespace
 
 bool
-tryReadTraceBinary(std::istream &is, Trace &out, std::string *error)
+iodetail::parseChunked(std::istream &is, bool read_records,
+                       ChunkedLayout &out, Trace *decoded,
+                       std::string *error)
 {
     const auto fail = [error](const char *why) {
         if (error != nullptr)
@@ -520,15 +363,132 @@ tryReadTraceBinary(std::istream &is, Trace &out, std::string *error)
     BinaryReader r(is);
     std::uint32_t version = 0;
     std::uint32_t cpus = 0;
-    if (!r.get(version) ||
-        (version != traceBinaryVersion && version != traceChunkedVersion))
+    if (!r.get(version) || version != traceBinaryVersion)
         return fail("unsupported version");
     if (!r.get(cpus) || cpus == 0 || cpus > 64)
         return fail("bad cpu count");
+    out.cpus = cpus;
+    out.cpuRecords.assign(cpus, 0);
 
-    return version == traceBinaryVersion
-               ? readBinaryV2Body(is, r, cpus, out, error)
-               : readChunkedV3Body(is, r, cpus, out, error);
+    std::uint64_t page_count = 0;
+    if (!r.get(page_count) || page_count > (1u << 20))
+        return fail("bad update-page count");
+    for (std::uint64_t i = 0; i < page_count; ++i) {
+        Addr page = 0;
+        if (!r.get(page))
+            return fail("truncated update pages");
+        out.updatePages.insert(page);
+    }
+
+    // A seek-only walk bounds each payload by the file size instead
+    // of reading it.
+    std::uint64_t file_size = 0;
+    if (!read_records) {
+        const std::streampos here = is.tellg();
+        is.seekg(0, std::ios::end);
+        file_size = std::uint64_t(is.tellg());
+        is.seekg(here);
+    }
+
+    // Record chunks first; the table only arrives afterwards, so
+    // block-op references are bounds-checked at the end via the
+    // largest id seen.
+    std::uint64_t max_op_ref = 0;
+    bool any_op_ref = false;
+    std::vector<char> raw;
+    while (true) {
+        std::uint32_t cpu = 0;
+        if (!r.get(cpu))
+            return fail("truncated chunk header");
+        if (cpu == chunkEndMarker)
+            break;
+        std::uint32_t count = 0;
+        if (cpu >= cpus || !r.get(count))
+            return fail("bad chunk header");
+        const std::uint64_t offset = std::uint64_t(is.tellg());
+        if (!read_records) {
+            const std::uint64_t end =
+                offset + std::uint64_t(count) * recordWireBytes;
+            if (end > file_size)
+                return fail("truncated record stream");
+            is.seekg(std::streamoff(end));
+        } else {
+            RecordStream *stream =
+                decoded != nullptr ? &decoded->stream(CpuId(cpu)) : nullptr;
+            for (std::uint32_t done = 0; done < count;) {
+                const std::uint32_t n =
+                    std::min(count - done, payloadBatchRecords);
+                raw.resize(std::size_t(n) * recordWireBytes);
+                if (!r.getBytes(raw.data(), raw.size()))
+                    return fail("truncated record stream");
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    const TraceRecord rec =
+                        decodeRecord(raw.data() + i * recordWireBytes);
+                    if (const char *why = recordDefect(rec))
+                        return fail(why);
+                    if (rec.type == RecordType::BlockOpBegin ||
+                        rec.type == RecordType::BlockOpEnd) {
+                        any_op_ref = true;
+                        max_op_ref =
+                            std::max<std::uint64_t>(max_op_ref, rec.aux);
+                    }
+                    if (stream != nullptr)
+                        stream->push_back(rec);
+                }
+                done += n;
+            }
+        }
+        out.cpuRecords[cpu] += count;
+        if (count > 0)
+            out.chunks.push_back({CpuId(cpu), count, offset});
+    }
+
+    const char *why = nullptr;
+    if (!getBlockOps(r, out.blockOps, &why))
+        return fail(why);
+    if (any_op_ref && max_op_ref >= out.blockOps.size())
+        return fail("record references unknown block op");
+
+    const std::uint64_t expected = r.checksum();
+    std::uint64_t stored = 0;
+    {
+        char buf[sizeof(stored)];
+        is.read(buf, sizeof(buf));
+        if (is.gcount() != std::streamsize(sizeof(buf)))
+            return fail("missing checksum");
+        std::memcpy(&stored, buf, sizeof(stored));
+    }
+    // A seek-only walk never read the payloads, so its running
+    // checksum is not the file's; the trailing word must still exist.
+    if (read_records && stored != expected)
+        return fail("checksum mismatch");
+    if (is.peek() != std::istream::traits_type::eof())
+        return fail("trailing garbage");
+    return true;
+}
+
+bool
+tryReadTraceBinary(std::istream &is, Trace &out, std::string *error)
+{
+    // A seek-only walk first sizes every stream exactly, so the one
+    // read of the payloads never regrows a vector.
+    const std::streampos start = is.tellg();
+    iodetail::ChunkedLayout index;
+    if (!iodetail::parseChunked(is, false, index, nullptr, error))
+        return false;
+    Trace trace(index.cpus);
+    for (CpuId cpu = 0; cpu < index.cpus; ++cpu)
+        trace.stream(cpu).reserve(index.cpuRecords[cpu]);
+
+    is.clear();
+    is.seekg(start);
+    iodetail::ChunkedLayout layout;
+    if (!iodetail::parseChunked(is, true, layout, &trace, error))
+        return false;
+    trace.updatePages() = std::move(layout.updatePages);
+    trace.blockOps() = std::move(layout.blockOps);
+    out = std::move(trace);
+    return true;
 }
 
 Trace
@@ -560,7 +520,7 @@ ChunkedTraceWriter::ChunkedTraceWriter(
         fatal("chunked trace: bad cpu count ", num_cpus);
     impl->cpus = num_cpus;
     os.write(binaryMagic, sizeof(binaryMagic));
-    impl->w.put(traceChunkedVersion);
+    impl->w.put(traceBinaryVersion);
     impl->w.put(std::uint32_t(num_cpus));
     putUpdatePages(impl->w, update_pages);
 }
@@ -625,17 +585,10 @@ writeTraceFile(const std::string &path, const Trace &trace,
                                : std::ios::out | std::ios::binary);
     if (!os)
         fatal("cannot open '", path, "' for writing");
-    switch (format) {
-      case TraceFormat::Text:
+    if (format == TraceFormat::Text)
         writeTrace(os, trace);
-        break;
-      case TraceFormat::Binary:
-        writeTraceBinary(os, trace);
-        break;
-      case TraceFormat::Chunked:
+    else
         writeTraceChunked(os, trace);
-        break;
-    }
     if (!os)
         fatal("error writing trace to '", path, "'");
 }

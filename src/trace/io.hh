@@ -27,24 +27,20 @@
  *   U <hex-addr>                 # LockRelease
  *   A <hex-addr> <parties>       # BarrierArrive
  *
- * Version 2 is a compact binary encoding of the same data for fast
- * reload by the experiment harness's artifact cache: the magic
- * "OSTR" + a version word, the cpu count, the update pages (sorted,
- * so identical traces serialize to identical bytes), the block-op
- * table, the per-cpu record streams as packed fixed-width records,
- * and a trailing FNV-1a checksum of everything after the magic.
- * readTraceFile() auto-detects the format from the leading bytes.
- *
- * Version 3 is the *chunked* binary layout, designed so a trace can
- * be written while it is being generated, without ever materializing
- * it: after the same magic/version/cpus/update-pages header come
- * interleaved record chunks — [u32 cpu][u32 count][count packed
- * records] — terminated by a cpu sentinel of 0xffffffff, and only
- * then the block-op table (it grows during generation, so it must
- * trail the records) and the same trailing FNV-1a checksum.
- * Because nothing is back-patched, the checksum streams, and a
- * reader can index the chunks in one O(1)-memory pass
+ * The binary format (version 3, "chunked") carries the same data
+ * compactly and is what the artifact cache stores.  It is designed
+ * so a trace can be written while it is being generated, without
+ * ever materializing it: the magic "OSTR", a version word, the cpu
+ * count and the update pages (sorted, so identical traces serialize
+ * to identical bytes) come first, then interleaved record chunks —
+ * [u32 cpu][u32 count][count packed fixed-width records] —
+ * terminated by a cpu sentinel of 0xffffffff, and only then the
+ * block-op table (it grows during generation, so it must trail the
+ * records) and a trailing FNV-1a checksum of everything after the
+ * magic.  Because nothing is back-patched, the checksum streams, and
+ * a reader can index the chunks in one O(1)-memory pass
  * (FileTraceSource in source.hh does exactly that).
+ * readTraceFile() tells the two formats apart by the leading bytes.
  */
 
 #ifndef OSCACHE_TRACE_IO_HH
@@ -63,19 +59,15 @@ namespace oscache
 enum class TraceFormat
 {
     Text,    ///< Line-oriented, greppable (format version 1).
-    Binary,  ///< Packed records + checksum (format version 2).
-    Chunked, ///< Streamable interleaved chunks (format version 3).
+    Chunked, ///< Streamable binary chunks + checksum (format version 3).
 };
 
 /**
- * Current binary format version.  Bump whenever the record layout or
- * any serialized structure changes; the artifact cache mixes this
- * into its content keys so stale files are never misread.
+ * Version word of the binary format.  Bump whenever the record layout
+ * or any serialized structure changes; the artifact cache mixes this
+ * into its content keys so stale files are never looked up.
  */
-inline constexpr std::uint32_t traceBinaryVersion = 2;
-
-/** Version word of the chunked (streamable) binary layout. */
-inline constexpr std::uint32_t traceChunkedVersion = 3;
+inline constexpr std::uint32_t traceBinaryVersion = 3;
 
 /** Serialize @p trace to @p os in the text format above. */
 void writeTrace(std::ostream &os, const Trace &trace);
@@ -86,12 +78,10 @@ void writeTrace(std::ostream &os, const Trace &trace);
  */
 Trace readTrace(std::istream &is);
 
-/** Serialize @p trace to @p os in the binary v2 format. */
-void writeTraceBinary(std::ostream &os, const Trace &trace);
-
 /**
- * Parse a binary-format trace (v2 or chunked v3, selected by the
- * version word) from @p is into @p out.
+ * Parse a binary-format trace from @p is (which must be seekable)
+ * into @p out.  Each stream is sized exactly before its records are
+ * read, and every record is read once.
  *
  * Unlike readTrace() this never exits: a truncated, corrupt, or
  * wrong-version stream returns false (with the reason in @p error
@@ -105,7 +95,7 @@ bool tryReadTraceBinary(std::istream &is, Trace &out,
 Trace readTraceBinary(std::istream &is);
 
 /**
- * Incremental writer of the chunked v3 format.  The header is
+ * Incremental writer of the binary format.  The header is
  * emitted on construction; record chunks stream out as the caller
  * produces them (any cpu order, any chunk sizes, empty chunks
  * skipped); finish() appends the block-op table and checksum.
@@ -150,7 +140,7 @@ class ChunkedTraceWriter
 };
 
 /**
- * Serialize @p trace to @p os in the chunked v3 format, splitting
+ * Serialize @p trace to @p os in the binary format, splitting
  * each stream into chunks of @p chunk_records.
  */
 void writeTraceChunked(std::ostream &os, const Trace &trace,

@@ -2,7 +2,7 @@
  * @file
  * Internal building blocks shared by the trace serializers (io.cc)
  * and the streaming file reader (source.cc): the binary magic and
- * per-record wire layout, the streaming FNV-1a checksum, small
+ * per-record wire layout, the one binary-format parser, small
  * put/get wrappers over iostreams, and the text-format record parser.
  *
  * This header is private to src/trace; nothing outside the library
@@ -18,23 +18,26 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
+#include <unordered_set>
+#include <vector>
 
 #include "common/binio.hh"
 #include "trace/blockop.hh"
 #include "trace/record.hh"
+#include "trace/trace.hh"
 
 namespace oscache
 {
 namespace iodetail
 {
 
-/** Leading bytes of a binary trace file (v2 and v3 alike). */
+/** Leading bytes of a binary trace file. */
 inline constexpr char binaryMagic[4] = {'O', 'S', 'T', 'R'};
 
 /** Bytes of one packed TraceRecord on the wire. */
 inline constexpr std::size_t recordWireBytes = 8 + 4 + 4 + 1 + 1 + 1 + 1;
 
-/** Chunk header sentinel terminating a v3 chunk sequence. */
+/** Chunk header sentinel terminating the chunk sequence. */
 inline constexpr std::uint32_t chunkEndMarker = 0xffffffffu;
 
 // The checksummed stream primitives grew a second client (the
@@ -58,34 +61,73 @@ putRecord(BinaryWriter &w, const TraceRecord &rec)
 }
 
 /**
- * Read one record in the packed wire layout, validating the type and
- * category bytes.  On failure returns false with the reason in
- * @p why (block-op id bounds are the caller's job: in the chunked
- * format the table arrives after the records).
+ * Decode one packed wire record.  The type and category bytes are
+ * taken as they are; recordDefect() says whether they are valid.
  */
-inline bool
-getRecord(BinaryReader &r, TraceRecord &rec, const char **why)
+inline TraceRecord
+decodeRecord(const char *p)
 {
-    std::uint8_t type = 0;
-    std::uint8_t category = 0;
-    if (!r.get(rec.addr) || !r.get(rec.aux) || !r.get(rec.bb) ||
-        !r.get(type) || !r.get(category) || !r.get(rec.size) ||
-        !r.get(rec.flags)) {
-        *why = "truncated record stream";
-        return false;
-    }
-    if (type > std::uint8_t(RecordType::BarrierArrive)) {
-        *why = "bad record type";
-        return false;
-    }
-    if (category >= static_cast<unsigned>(DataCategory::NumCategories)) {
-        *why = "bad data category";
-        return false;
-    }
-    rec.type = RecordType(type);
-    rec.category = DataCategory(category);
-    return true;
+    TraceRecord rec;
+    std::memcpy(&rec.addr, p, sizeof(rec.addr));
+    p += sizeof(rec.addr);
+    std::memcpy(&rec.aux, p, sizeof(rec.aux));
+    p += sizeof(rec.aux);
+    std::memcpy(&rec.bb, p, sizeof(rec.bb));
+    p += sizeof(rec.bb);
+    rec.type = RecordType(std::uint8_t(p[0]));
+    rec.category = DataCategory(std::uint8_t(p[1]));
+    rec.size = std::uint8_t(p[2]);
+    rec.flags = std::uint8_t(p[3]);
+    return rec;
 }
+
+/** Why a decoded record's type or category is invalid, or nullptr. */
+inline const char *
+recordDefect(const TraceRecord &rec)
+{
+    if (std::uint8_t(rec.type) > std::uint8_t(RecordType::BarrierArrive))
+        return "bad record type";
+    if (std::uint8_t(rec.category) >=
+        std::uint8_t(DataCategory::NumCategories))
+        return "bad data category";
+    return nullptr;
+}
+
+/** One non-empty record chunk of a binary trace file. */
+struct ChunkExtent
+{
+    CpuId cpu = 0;
+    std::uint32_t records = 0;
+    std::uint64_t offset = 0; ///< Absolute offset of the first record.
+};
+
+/** Everything parseChunked() learns about a file besides its records. */
+struct ChunkedLayout
+{
+    unsigned cpus = 0;
+    std::unordered_set<Addr> updatePages;
+    BlockOpTable blockOps;
+    std::vector<ChunkExtent> chunks;     ///< In file order.
+    std::vector<std::size_t> cpuRecords; ///< Record total per cpu.
+};
+
+/**
+ * The one parser of the binary (chunked v3) layout: magic, version,
+ * cpu count, update pages, the record chunks up to the end marker,
+ * the block-op table, the trailing checksum, and nothing after it.
+ *
+ * With @p read_records false the walk seeks over every record
+ * payload: chunk sizes are bounded by the file size, records are
+ * not validated, and the checksum must be present but is not
+ * verified.  With it true every record is read once, validated, and
+ * (when @p decoded is non-null) appended to @p decoded's stream of
+ * its cpu; the checksum must match.  @p is must be seekable.
+ *
+ * Returns false with the reason in @p error (when non-null) on
+ * malformed input.
+ */
+bool parseChunked(std::istream &is, bool read_records, ChunkedLayout &out,
+                  Trace *decoded, std::string *error);
 
 /** Text-format category code ("user", "kpriv", ...). */
 const char *categoryCode(DataCategory cat);
@@ -110,12 +152,6 @@ bool tryParseRecordLine(const std::string &line, TraceRecord &rec,
 
 /** As tryParseRecordLine(), but fatal() naming the offending line. */
 TraceRecord parseRecordLine(const std::string &line);
-
-/**
- * Parse the serialized block-op table (layout shared by v2 and v3).
- * False with the reason in @p why on malformed input.
- */
-bool getBlockOps(BinaryReader &r, BlockOpTable &ops, const char **why);
 
 } // namespace iodetail
 } // namespace oscache

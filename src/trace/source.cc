@@ -12,33 +12,9 @@
 namespace oscache
 {
 
-using iodetail::BinaryReader;
 using iodetail::binaryMagic;
-using iodetail::chunkEndMarker;
+using iodetail::decodeRecord;
 using iodetail::recordWireBytes;
-
-namespace
-{
-
-/** Decode one packed wire record (already validated by the scan). */
-TraceRecord
-decodeRecord(const char *p)
-{
-    TraceRecord rec;
-    std::memcpy(&rec.addr, p, sizeof(rec.addr));
-    p += sizeof(rec.addr);
-    std::memcpy(&rec.aux, p, sizeof(rec.aux));
-    p += sizeof(rec.aux);
-    std::memcpy(&rec.bb, p, sizeof(rec.bb));
-    p += sizeof(rec.bb);
-    rec.type = RecordType(std::uint8_t(p[0]));
-    rec.category = DataCategory(std::uint8_t(p[1]));
-    rec.size = std::uint8_t(p[2]);
-    rec.flags = std::uint8_t(p[3]);
-    return rec;
-}
-
-} // namespace
 
 /**
  * Cursor over the record byte ranges of one cpu in a binary-format
@@ -340,131 +316,21 @@ FileTraceSource::scan(std::string *error)
 bool
 FileTraceSource::scanBinary(std::istream &is, std::string *error)
 {
-    const auto fail = [error](const char *why) {
-        if (error != nullptr)
-            *error = why;
+    fileFormat = Format::Chunked;
+    iodetail::ChunkedLayout layout;
+    if (!iodetail::parseChunked(is, depth == ScanDepth::Full, layout,
+                                nullptr, error))
         return false;
-    };
-
-    is.seekg(std::streamoff(sizeof(binaryMagic)));
-    BinaryReader r(is);
-
-    std::uint32_t version = 0;
-    std::uint32_t cpus = 0;
-    if (!r.get(version) ||
-        (version != traceBinaryVersion && version != traceChunkedVersion))
-        return fail("unsupported version");
-    if (!r.get(cpus) || cpus == 0 || cpus > 64)
-        return fail("bad cpu count");
-    fileFormat = version == traceBinaryVersion ? Format::BinaryV2
-                                               : Format::ChunkedV3;
-    segments.assign(cpus, {});
-    recordCounts.assign(cpus, 0);
-
-    std::uint64_t page_count = 0;
-    if (!r.get(page_count) || page_count > (1u << 20))
-        return fail("bad update-page count");
-    for (std::uint64_t i = 0; i < page_count; ++i) {
-        Addr page = 0;
-        if (!r.get(page))
-            return fail("truncated update pages");
-        pages.insert(page);
+    pages = std::move(layout.updatePages);
+    table = std::move(layout.blockOps);
+    recordCounts = std::move(layout.cpuRecords);
+    segments.assign(layout.cpus, {});
+    for (const iodetail::ChunkExtent &chunk : layout.chunks) {
+        Segment seg;
+        seg.offset = chunk.offset;
+        seg.records = chunk.records;
+        segments[chunk.cpu].push_back(seg);
     }
-
-    const char *why = nullptr;
-    if (fileFormat == Format::BinaryV2) {
-        if (!iodetail::getBlockOps(r, table, &why))
-            return fail(why);
-        for (CpuId cpu = 0; cpu < cpus; ++cpu) {
-            std::uint64_t count = 0;
-            if (!r.get(count))
-                return fail("truncated stream header");
-            Segment seg;
-            seg.offset = std::uint64_t(is.tellg());
-            seg.records = count;
-            if (depth == ScanDepth::Index) {
-                is.seekg(std::streamoff(count * recordWireBytes),
-                         std::ios::cur);
-                if (!is || is.peek() == std::istream::traits_type::eof())
-                    return fail("truncated record stream");
-            } else {
-                for (std::uint64_t i = 0; i < count; ++i) {
-                    TraceRecord rec;
-                    if (!iodetail::getRecord(r, rec, &why))
-                        return fail(why);
-                    if ((rec.type == RecordType::BlockOpBegin ||
-                         rec.type == RecordType::BlockOpEnd) &&
-                        rec.aux >= table.size())
-                        return fail("record references unknown block op");
-                }
-            }
-            recordCounts[cpu] = count;
-            if (count > 0)
-                segments[cpu].push_back(seg);
-        }
-    } else {
-        // Chunked: the table trails the records, so block-op
-        // references are bounds-checked afterwards via the largest
-        // id seen.
-        std::uint64_t max_op_ref = 0;
-        bool any_op_ref = false;
-        while (true) {
-            std::uint32_t cpu = 0;
-            if (!r.get(cpu))
-                return fail("truncated chunk header");
-            if (cpu == chunkEndMarker)
-                break;
-            std::uint32_t count = 0;
-            if (cpu >= cpus || !r.get(count))
-                return fail("bad chunk header");
-            Segment seg;
-            seg.offset = std::uint64_t(is.tellg());
-            seg.records = count;
-            if (depth == ScanDepth::Index) {
-                is.seekg(std::streamoff(std::uint64_t(count) *
-                                        recordWireBytes),
-                         std::ios::cur);
-                if (!is || is.peek() == std::istream::traits_type::eof())
-                    return fail("truncated record stream");
-            } else {
-                for (std::uint32_t i = 0; i < count; ++i) {
-                    TraceRecord rec;
-                    if (!iodetail::getRecord(r, rec, &why))
-                        return fail(why);
-                    if (rec.type == RecordType::BlockOpBegin ||
-                        rec.type == RecordType::BlockOpEnd) {
-                        any_op_ref = true;
-                        max_op_ref =
-                            std::max<std::uint64_t>(max_op_ref, rec.aux);
-                    }
-                }
-            }
-            recordCounts[cpu] += count;
-            if (count > 0)
-                segments[cpu].push_back(seg);
-        }
-        if (!iodetail::getBlockOps(r, table, &why))
-            return fail(why);
-        if (any_op_ref && max_op_ref >= table.size())
-            return fail("record references unknown block op");
-    }
-
-    const std::uint64_t expected = r.checksum();
-    std::uint64_t stored = 0;
-    {
-        char buf[sizeof(stored)];
-        is.read(buf, sizeof(buf));
-        if (is.gcount() != std::streamsize(sizeof(buf)))
-            return fail("missing checksum");
-        std::memcpy(&stored, buf, sizeof(stored));
-    }
-    // An Index scan never read the record payloads, so the running
-    // checksum is not the file's; the trailing word's presence is
-    // still required above.
-    if (depth == ScanDepth::Full && stored != expected)
-        return fail("checksum mismatch");
-    if (is.peek() != std::istream::traits_type::eof())
-        return fail("trailing garbage");
     return true;
 }
 

@@ -14,9 +14,9 @@
  *
  *  - MaterializedTraceSource wraps an existing Trace (tests, small
  *    runs, trace-rewriting passes);
- *  - FileTraceSource (this header) reads the text, binary-v2, and
- *    chunked-v3 on-disk formats incrementally with a bounded
- *    read-ahead buffer per processor;
+ *  - FileTraceSource (this header) reads both on-disk formats (text
+ *    and binary) incrementally with a bounded read-ahead buffer per
+ *    processor;
  *  - SynthTraceSource (src/synth/stream_source.hh) generates records
  *    on demand, quantum by quantum, so generation overlaps
  *    simulation and no full trace is ever built.
@@ -246,11 +246,11 @@ class MaterializedTraceSource final : public TraceSource
 inline constexpr std::size_t defaultStreamReadAhead = 4096;
 
 /**
- * Streaming reader of on-disk traces in any supported format (text
- * v1, binary v2, chunked v3 — detected from the leading bytes).
+ * Streaming reader of on-disk traces in either format (text v1 or
+ * binary v3 — detected from the leading bytes).
  *
  * Construction performs one O(1)-memory validation pass over the
- * whole file — structure, record bounds, and (binary formats) the
+ * whole file — structure, record bounds, and (binary format) the
  * trailing checksum — and indexes where each processor's records
  * live, so a truncated or corrupted file fails up front rather than
  * mid-simulation.  Each cursor then re-reads its processor's byte
@@ -266,7 +266,7 @@ class FileTraceSource final : public TraceSource
      * trailing checksum — the right default, and what the artifact
      * cache relies on to discard corrupt artifacts.
      *
-     * Index walks the binary formats' structure by seek arithmetic:
+     * Index walks the binary format's structure by seek arithmetic:
      * headers, chunk boundaries, the block-op table, and the end
      * sentinel are validated, but record payloads are skipped on
      * disk and the trailing checksum is not recomputed (verifying it
@@ -322,8 +322,7 @@ class FileTraceSource final : public TraceSource
     enum class Format
     {
         Text,
-        BinaryV2,
-        ChunkedV3,
+        Chunked,
     };
     Format format() const { return fileFormat; }
 
@@ -340,7 +339,7 @@ class FileTraceSource final : public TraceSource
     struct Segment
     {
         std::uint64_t offset = 0; ///< Absolute file offset.
-        std::uint64_t records = 0; ///< Record count (binary formats).
+        std::uint64_t records = 0; ///< Record count (binary format).
         std::uint64_t end = 0;     ///< End offset (text format).
     };
 

@@ -32,6 +32,7 @@
 #include "exp/results.hh"
 #include "report/experiment.hh"
 #include "synth/generator.hh"
+#include "trace/io.hh"
 
 namespace oscache
 {
@@ -214,6 +215,46 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
     // A fresh store regenerates transparently.
     store.store(key, trace);
     EXPECT_TRUE(store.load(key).has_value());
+}
+
+TEST(ExpArtifactCache, RetiredVersion2FileIsRejectedCleanly)
+{
+    // Binary format version 2 is retired: a file whose version word
+    // says 2 is a clean rejection in both readers and a store miss.
+    const std::string dir = "/tmp/oscache_test_artifacts_v2";
+    fs::remove_all(dir);
+    TraceStore store(dir);
+
+    WorkloadProfile p = WorkloadProfile::forKind(WorkloadKind::Trfd4);
+    p.quanta = 2;
+    const std::string key =
+        TraceStore::keyFor(p, CoherenceOptions::none());
+    store.store(key, generateTrace(p, CoherenceOptions::none()));
+    const std::string path = store.pathFor(key);
+    {
+        // The version word follows the 4-byte magic.
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        const std::uint32_t two = 2;
+        f.seekp(4);
+        f.write(reinterpret_cast<const char *>(&two), sizeof(two));
+    }
+
+    {
+        std::ifstream is(path, std::ios::binary);
+        Trace trace(1);
+        std::string why;
+        EXPECT_FALSE(tryReadTraceBinary(is, trace, &why));
+        EXPECT_EQ(why, "unsupported version");
+    }
+    std::string why;
+    EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
+    EXPECT_EQ(why, "unsupported version");
+
+    EXPECT_FALSE(store.load(key).has_value());
+    EXPECT_EQ(store.misses(), 1u);
+    EXPECT_EQ(store.rejected(), 1u);
+    EXPECT_FALSE(fs::exists(path));
 }
 
 TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)

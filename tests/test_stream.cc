@@ -1,9 +1,10 @@
 /**
  * @file
  * Streaming trace pipeline tests: streamed synthesis must reproduce
- * materialized generation bit-for-bit, file sources must replay all
- * three on-disk formats through bounded cursors, corrupted chunked
- * artifacts must fail cleanly, the streaming prefetch adapter must
+ * materialized generation bit-for-bit, file sources must replay both
+ * on-disk formats through bounded cursors, corrupted chunked
+ * artifacts must fail cleanly, one store artifact must serve both
+ * materialized and streamed runs, the streaming prefetch adapter must
  * match the materializing rewrite, and the in-memory trace cache
  * must evict by LRU under its byte cap.
  */
@@ -212,7 +213,7 @@ TEST(StreamPrefetch, AdapterMatchesInsertPrefetches)
 }
 
 // ---------------------------------------------------------------------
-// File sources: all three formats round-trip through cursors.
+// File sources: both formats round-trip through cursors.
 
 TEST(StreamFile, AllFormatsRoundTrip)
 {
@@ -227,7 +228,6 @@ TEST(StreamFile, AllFormatsRoundTrip)
         const char *name;
     } cases[] = {
         {TraceFormat::Text, "roundtrip.trace"},
-        {TraceFormat::Binary, "roundtrip.otb"},
         {TraceFormat::Chunked, "roundtrip.otc"},
     };
     for (const auto &c : cases) {
@@ -320,7 +320,6 @@ TEST(StreamSkip, FileCursorSkipsExactlyAllFormats)
         const char *name;
     } cases[] = {
         {TraceFormat::Text, "skip.trace"},
-        {TraceFormat::Binary, "skip.otb"},
         {TraceFormat::Chunked, "skip.otc"},
     };
     for (const auto &c : cases) {
@@ -486,6 +485,41 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
     EXPECT_EQ(store.openSource(key), nullptr);
     EXPECT_GE(store.rejected(), 1u);
     EXPECT_FALSE(fs::exists(store.pathFor(key)));
+    fs::remove_all(dir);
+}
+
+TEST(StreamStore, OneArtifactServesBothModes)
+{
+    // store() and storeStreaming() write the same format, so each
+    // reader takes what the other writer left.
+    const std::string dir = scratchPath("store_both");
+    fs::remove_all(dir);
+    TraceStore store(dir);
+
+    const WorkloadProfile profile = smallProfile(WorkloadKind::Trfd4, 3);
+    const CoherenceOptions options = CoherenceOptions::relocUpdate();
+    const std::string key = TraceStore::keyFor(profile, options);
+    const Trace trace = generateTrace(profile, options);
+    ASSERT_FALSE(trace.updatePages().empty());
+
+    store.store(key, trace);
+    auto source = store.openSource(key, 64);
+    ASSERT_NE(source, nullptr);
+    EXPECT_EQ(drain(*source), streamsOf(trace));
+    expectSameBlockOps(source->blockOps(), trace.blockOps());
+    EXPECT_EQ(source->updatePages(), trace.updatePages());
+    source.reset();
+
+    store.storeStreaming(key, profile, options);
+    const std::optional<Trace> loaded = store.load(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(streamsOf(*loaded), streamsOf(trace));
+    expectSameBlockOps(loaded->blockOps(), trace.blockOps());
+    EXPECT_EQ(loaded->updatePages(), trace.updatePages());
+    // The load sizes every stream before reading it.
+    for (CpuId c = 0; c < loaded->numCpus(); ++c)
+        EXPECT_EQ(loaded->stream(c).capacity(), loaded->stream(c).size());
+    EXPECT_EQ(store.rejected(), 0u);
     fs::remove_all(dir);
 }
 

@@ -191,13 +191,13 @@ TEST(TraceIoTest, FileRoundTrip)
     expectTracesEqual(original, restored);
 }
 
-// ------------------------------------------------- binary format (v2)
+// ------------------------------------------------- binary format (v3)
 
 TEST(TraceIoBinaryTest, RoundTripsSampleTrace)
 {
     const Trace original = sampleTrace();
     std::stringstream buffer;
-    writeTraceBinary(buffer, original);
+    writeTraceChunked(buffer, original, 3);
     const Trace restored = readTraceBinary(buffer);
     expectTracesEqual(original, restored);
 }
@@ -209,7 +209,7 @@ TEST(TraceIoBinaryTest, RoundTripsSyntheticWorkload)
     const Trace original =
         generateTrace(p, CoherenceOptions::relocUpdate());
     std::stringstream buffer;
-    writeTraceBinary(buffer, original);
+    writeTraceChunked(buffer, original, 3);
     const Trace restored = readTraceBinary(buffer);
     expectTracesEqual(original, restored);
 }
@@ -219,20 +219,21 @@ TEST(TraceIoBinaryTest, MatchesTextSemantics)
     const Trace original = sampleTrace();
     std::stringstream text, binary;
     writeTrace(text, original);
-    writeTraceBinary(binary, original);
+    writeTraceChunked(binary, original, 3);
     expectTracesEqual(readTrace(text), readTraceBinary(binary));
 }
 
 TEST(TraceIoBinaryTest, StartsWithMagicAndVersion)
 {
     std::stringstream buffer;
-    writeTraceBinary(buffer, Trace(1));
+    writeTraceChunked(buffer, Trace(1));
     const std::string bytes = buffer.str();
     ASSERT_GE(bytes.size(), 8u);
     EXPECT_EQ(bytes.substr(0, 4), "OSTR");
     std::uint32_t version = 0;
     std::memcpy(&version, bytes.data() + 4, sizeof(version));
     EXPECT_EQ(version, traceBinaryVersion);
+    EXPECT_EQ(version, 3u);
 }
 
 TEST(TraceIoBinaryTest, TryReadRejectsBadMagic)
@@ -247,7 +248,7 @@ TEST(TraceIoBinaryTest, TryReadRejectsBadMagic)
 TEST(TraceIoBinaryTest, TryReadRejectsTruncation)
 {
     std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
+    writeTraceChunked(buffer, sampleTrace(), 3);
     const std::string bytes = buffer.str();
     std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
     Trace trace(1);
@@ -258,7 +259,7 @@ TEST(TraceIoBinaryTest, TryReadRejectsTruncation)
 TEST(TraceIoBinaryTest, TryReadRejectsBitFlip)
 {
     std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
+    writeTraceChunked(buffer, sampleTrace(), 3);
     std::string bytes = buffer.str();
     // Flip a payload byte past the header; the checksum must notice.
     bytes[bytes.size() / 2] ^= 0x40;
@@ -271,7 +272,7 @@ TEST(TraceIoBinaryTest, TryReadRejectsBitFlip)
 TEST(TraceIoBinaryTest, TryReadRejectsTrailingGarbage)
 {
     std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
+    writeTraceChunked(buffer, sampleTrace(), 3);
     std::string bytes = buffer.str() + "x";
     std::stringstream in(bytes);
     Trace trace(1);
@@ -286,8 +287,8 @@ TEST(TraceIoBinaryTest, DeterministicBytes)
     trace.updatePages().insert(0x1000);
     trace.updatePages().insert(0x7000);
     std::stringstream a, b;
-    writeTraceBinary(a, trace);
-    writeTraceBinary(b, trace);
+    writeTraceChunked(a, trace, 3);
+    writeTraceChunked(b, trace, 3);
     EXPECT_EQ(a.str(), b.str());
 }
 
@@ -296,12 +297,12 @@ TEST(TraceIoBinaryTest, FileRoundTripAutodetects)
     const Trace original = sampleTrace();
     const std::string bin_path = "/tmp/oscache_trace_io_test.otb";
     const std::string txt_path = "/tmp/oscache_trace_io_test2.trace";
-    writeTraceFile(bin_path, original, TraceFormat::Binary);
+    writeTraceFile(bin_path, original, TraceFormat::Chunked);
     writeTraceFile(txt_path, original, TraceFormat::Text);
     expectTracesEqual(readTraceFile(bin_path), readTraceFile(txt_path));
 }
 
-// ------------------------------------------------ error paths (v2/v3)
+// ----------------------------------------------------- error paths
 
 std::string
 chunkedBytes(const Trace &trace)
@@ -320,19 +321,6 @@ writeCorruptFile(const std::string &name, const std::string &bytes)
     return path;
 }
 
-TEST(TraceIoErrorTest, RejectsCorruptV2VersionWord)
-{
-    std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
-    std::string bytes = buffer.str();
-    bytes[4] = char(0x7f); // Version word follows the 4-byte magic.
-    std::stringstream in(bytes);
-    Trace trace(1);
-    std::string why;
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
-    EXPECT_NE(why.find("version"), std::string::npos) << why;
-}
-
 TEST(TraceIoErrorTest, RejectsCorruptV3VersionWord)
 {
     std::string bytes = chunkedBytes(sampleTrace());
@@ -341,22 +329,6 @@ TEST(TraceIoErrorTest, RejectsCorruptV3VersionWord)
     std::string why;
     EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
     EXPECT_NE(why.find("version"), std::string::npos) << why;
-}
-
-TEST(TraceIoErrorTest, RejectsBadChecksumV2)
-{
-    std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
-    std::string bytes = buffer.str();
-    // The trailing 8 bytes are the FNV-1a checksum; corrupt only them
-    // so every payload byte is intact and the mismatch is
-    // unambiguously the checksum's.
-    bytes[bytes.size() - 1] ^= 0x01;
-    std::stringstream in(bytes);
-    Trace trace(1);
-    std::string why;
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
-    EXPECT_NE(why.find("checksum"), std::string::npos) << why;
 }
 
 TEST(TraceIoErrorTest, RejectsBadChecksumV3)
@@ -386,6 +358,93 @@ TEST(TraceIoErrorTest, RejectsChunkTruncatedMidRecord)
     std::stringstream in(bytes.substr(0, cut));
     Trace trace(1);
     EXPECT_FALSE(tryReadTraceBinary(in, trace, nullptr));
+}
+
+/** @p bytes with the @p value's byte image written at @p offset. */
+template <typename T>
+std::string
+patched(std::string bytes, std::size_t offset, T value)
+{
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+}
+
+TEST(TraceIoErrorTest, EveryRejectionFiresInBothReaders)
+{
+    // sampleTrace() in 3-record chunks: magic(4) version(4) cpus(4)
+    // page count(8) page(8), then the first chunk header [cpu][count]
+    // at 28 and its first record at 36 (type byte at +16, category
+    // at +17).
+    const std::string good = chunkedBytes(sampleTrace());
+    constexpr std::size_t chunk = 28;
+    constexpr std::size_t record = chunk + 8;
+
+    Trace dangling(1);
+    TraceRecord begin;
+    begin.type = RecordType::BlockOpBegin;
+    begin.aux = 7;
+    dangling.stream(0).push_back(begin);
+
+    const struct
+    {
+        const char *name;
+        std::string bytes;
+        const char *why;
+        bool index; ///< An index scan, which skips payloads, sees it.
+    } cases[] = {
+        {"version", patched(good, 4, std::uint32_t(2)),
+         "unsupported version", true},
+        {"cpus", patched(good, 8, std::uint32_t(0)), "bad cpu count", true},
+        {"pages", patched(good, 12, ~std::uint64_t(0)),
+         "bad update-page count", true},
+        {"chunk cpu", patched(good, chunk, std::uint32_t(5)),
+         "bad chunk header", true},
+        {"cut header", good.substr(0, chunk + 2), "truncated chunk header",
+         true},
+        {"cut record", good.substr(0, record + 9),
+         "truncated record stream", true},
+        {"type", patched(good, record + 16, std::uint8_t(0xff)),
+         "bad record type", false},
+        {"category", patched(good, record + 17, std::uint8_t(0xff)),
+         "bad data category", false},
+        {"block op", chunkedBytes(dangling),
+         "record references unknown block op", false},
+        {"checksum",
+         patched(good, good.size() - 1, std::uint8_t(good.back() ^ 1)),
+         "checksum mismatch", false},
+        {"no checksum", good.substr(0, good.size() - 8), "missing checksum",
+         true},
+        {"garbage", good + "x", "trailing garbage", true},
+    };
+    for (const auto &c : cases) {
+        std::stringstream in(c.bytes);
+        Trace trace(1);
+        std::string why;
+        EXPECT_FALSE(tryReadTraceBinary(in, trace, &why)) << c.name;
+        EXPECT_EQ(why, c.why) << c.name;
+
+        const std::string path = writeCorruptFile("reason.otb", c.bytes);
+        why.clear();
+        EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr)
+            << c.name;
+        EXPECT_EQ(why, c.why) << c.name;
+
+        why.clear();
+        const auto indexed = FileTraceSource::tryOpen(
+            path, 16, &why, FileTraceSource::ScanDepth::Index);
+        if (c.index) {
+            EXPECT_EQ(indexed, nullptr) << c.name;
+            EXPECT_EQ(why, c.why) << c.name;
+        } else {
+            EXPECT_NE(indexed, nullptr) << c.name << ": " << why;
+        }
+    }
+
+    std::stringstream in("NOPE" + good.substr(4));
+    Trace trace(1);
+    std::string why;
+    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
+    EXPECT_EQ(why, "bad magic");
 }
 
 TEST(TraceIoErrorTest, RejectsZeroLengthFile)

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/version.hh"
 #include "core/blockop/schemes.hh"
 #include "report/experiment.hh"
@@ -82,9 +83,9 @@ usage()
         "  --icache             model the instruction cache in detail\n"
         "  --trace <file>       trace file (replay)\n"
         "  --out <file>         output trace file (generate)\n"
-        "  --format <f>         generate output format: text | binary |\n"
-        "                       chunked (chunked streams to disk with\n"
-        "                       bounded memory)\n"
+        "  --format <f>         generate output format: text | chunked\n"
+        "                       (chunked streams to disk with bounded\n"
+        "                       memory)\n"
         "  --stream             run/replay through streaming cursors\n"
         "                       instead of materializing the trace\n"
         "  --stream-buffer <n>  cursor read-ahead in records per cpu\n"
@@ -134,17 +135,22 @@ parse(int argc, char **argv)
                 fatal("unknown system '", name, "'");
             args.system = it->second;
         } else if (flag == "--l1-size") {
-            args.machine.l1Size = std::stoul(value());
+            args.machine.l1Size = std::uint32_t(
+                parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--l1-line") {
-            args.machine.l1LineSize = std::stoul(value());
+            args.machine.l1LineSize = std::uint32_t(
+                parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--l2-size") {
-            args.machine.l2Size = std::stoul(value());
+            args.machine.l2Size = std::uint32_t(
+                parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--l2-line") {
-            args.machine.l2LineSize = std::stoul(value());
+            args.machine.l2LineSize = std::uint32_t(
+                parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--quanta") {
-            args.quanta = unsigned(std::stoul(value()));
+            args.quanta =
+                unsigned(parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--seed") {
-            args.seed = std::stoull(value());
+            args.seed = parseUnsignedFlag(flag, value());
         } else if (flag == "--icache") {
             args.icache = true;
         } else if (flag == "--trace") {
@@ -155,8 +161,6 @@ parse(int argc, char **argv)
             const std::string name = value();
             if (name == "text")
                 args.format = TraceFormat::Text;
-            else if (name == "binary")
-                args.format = TraceFormat::Binary;
             else if (name == "chunked")
                 args.format = TraceFormat::Chunked;
             else
@@ -164,9 +168,7 @@ parse(int argc, char **argv)
         } else if (flag == "--stream") {
             args.stream = true;
         } else if (flag == "--stream-buffer") {
-            args.streamBuffer = std::stoul(value());
-            if (args.streamBuffer == 0)
-                fatal("--stream-buffer must be >= 1");
+            args.streamBuffer = parseUnsignedFlag(flag, value(), 1);
         } else if (flag == "--version") {
             std::printf("%s\n", versionString().c_str());
             std::exit(0);

@@ -361,11 +361,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--count") {
-            count = std::strtoull(value().c_str(), nullptr, 10);
+            count = parseUnsignedFlag(arg, value(), 1);
         } else if (arg == "--seconds") {
-            seconds = std::strtod(value().c_str(), nullptr);
+            seconds = parseRealFlag(arg, value(), 0, 1e9);
         } else if (arg == "--seed-base") {
-            seed_base = std::strtoull(value().c_str(), nullptr, 10);
+            seed_base = parseUnsignedFlag(arg, value());
             seed_base_set = true;
         } else if (arg == "--jobs" || arg == "-j") {
             jobs = unsigned(parseUnsignedFlag(arg, value(), 1, maxJobs));

@@ -28,6 +28,7 @@
 
 #include "check/invariants.hh"
 #include "check/racedetect.hh"
+#include "common/args.hh"
 #include "common/version.hh"
 #include "check/tracelint.hh"
 #include "core/runner.hh"
@@ -121,17 +122,16 @@ parse(int argc, char **argv)
                 fatal("unknown workload '", name, "'");
             args.workload = it->second;
         } else if (flag == "--quanta") {
-            args.quanta = unsigned(std::stoul(value()));
+            args.quanta =
+                unsigned(parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--seed") {
-            args.seed = std::stoull(value());
+            args.seed = parseUnsignedFlag(flag, value());
         } else if (flag == "--simulate") {
             args.simulate = true;
         } else if (flag == "--stream") {
             args.stream = true;
         } else if (flag == "--stream-buffer") {
-            args.streamBuffer = std::stoul(value());
-            if (args.streamBuffer == 0)
-                fatal("--stream-buffer must be >= 1");
+            args.streamBuffer = parseUnsignedFlag(flag, value(), 1);
         } else if (flag == "--help" || flag == "-h") {
             usage();
             std::exit(0);

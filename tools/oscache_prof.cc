@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 
+#include "common/args.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "core/hotspot/hotspot.hh"
@@ -130,9 +131,10 @@ parse(int argc, char **argv)
                 fatal("unknown system '", name, "'");
             args.system = it->second;
         } else if (flag == "--quanta") {
-            args.quanta = unsigned(std::stoul(value()));
+            args.quanta =
+                unsigned(parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--seed") {
-            args.seed = std::stoull(value());
+            args.seed = parseUnsignedFlag(flag, value());
         } else if (flag == "--hotspots") {
             args.hotspots = true;
         } else if (flag == "--metrics") {
@@ -142,15 +144,13 @@ parse(int argc, char **argv)
         } else if (flag == "--timeline") {
             args.timelineFile = value();
         } else if (flag == "--window") {
-            args.window = std::stoull(value());
-            if (args.window == 0)
-                fatal("--window must be >= 1");
+            args.window = parseUnsignedFlag(flag, value(), 1);
         } else if (flag == "--sample") {
-            args.sample = std::uint32_t(std::stoul(value()));
-            if (args.sample == 0)
-                fatal("--sample must be >= 1");
+            args.sample = std::uint32_t(
+                parseUnsignedFlag(flag, value(), 1, UINT32_MAX));
         } else if (flag == "--top") {
-            args.top = unsigned(std::stoul(value()));
+            args.top =
+                unsigned(parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--stream") {
             args.stream = true;
         } else if (flag == "--version") {

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/version.hh"
 #include "core/runner.hh"
 #include "core/system_config.hh"
@@ -154,9 +155,10 @@ parse(int argc, char **argv)
                 fatal("unknown or unsupported system '", name, "'");
             args.system = it->second;
         } else if (flag == "--quanta") {
-            args.quanta = unsigned(std::stoul(value()));
+            args.quanta =
+                unsigned(parseUnsignedFlag(flag, value(), 1, maxUnsigned));
         } else if (flag == "--seed") {
-            args.seed = std::stoull(value());
+            args.seed = parseUnsignedFlag(flag, value());
         } else if (flag == "--trace") {
             args.traceFile = value();
         } else if (flag == "--compare-full") {
@@ -170,9 +172,7 @@ parse(int argc, char **argv)
         } else if (flag == "--checkpoint") {
             args.checkpointPath = value();
         } else if (flag == "--stream-buffer") {
-            args.streamBuffer = std::stoul(value());
-            if (args.streamBuffer == 0)
-                fatal("--stream-buffer must be >= 1");
+            args.streamBuffer = parseUnsignedFlag(flag, value(), 1);
         } else if (flag == "--version") {
             std::printf("%s\n", versionString().c_str());
             std::exit(0);

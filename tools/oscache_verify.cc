@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "trace/io.hh"
@@ -196,27 +197,29 @@ main(int argc, char **argv)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
+        // Explorer bounds are checked by checkConfig(); this only
+        // refuses what is not an unsigned number at all.
+        auto count = [&] {
+            return unsigned(parseUnsignedFlag(arg, value(), 0, maxUnsigned));
+        };
         if (arg == "--scheme") {
             scheme = value();
         } else if (arg == "--cpus") {
-            cfg.cpus = unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.cpus = count();
         } else if (arg == "--addrs") {
-            cfg.addrs =
-                unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.addrs = count();
         } else if (arg == "--sets") {
-            cfg.sets = unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.sets = count();
         } else if (arg == "--wb") {
-            cfg.wbDepth =
-                unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.wbDepth = count();
         } else if (arg == "--sockets") {
-            cfg.sockets =
-                unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.sockets = count();
         } else if (arg == "--counterexample") {
             cex_path = value();
         } else if (arg == "--quanta") {
-            quanta = unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            quanta = count();
         } else if (arg == "--min-coverage") {
-            min_coverage = std::strtod(value().c_str(), nullptr);
+            min_coverage = parseRealFlag(arg, value(), 0, 100);
         } else {
             usage();
             fatal("unknown option ", arg);

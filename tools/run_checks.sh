@@ -52,13 +52,22 @@ echo "== ctest tsan (Exp*, Stream*) =="
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
     -R '^Exp|^Stream'
 
-echo "== bench smoke (tsan) =="
-"$tsan_build/tools/oscache-bench" --smoke --jobs 4 --quiet \
+# Each smoke takes about 145 s; 4x that bounds a hang (one streamed
+# run once spun for over 40 minutes) so it fails the stage by name.
+smoke_limit=600
+tsan_smoke() {
+    name=$1
+    shift
+    echo "== $name (tsan, limit ${smoke_limit}s) =="
+    timeout "$smoke_limit" "$tsan_build/tools/oscache-bench" "$@" || {
+        echo "$name failed or exceeded ${smoke_limit}s" >&2
+        exit 1
+    }
+}
+tsan_smoke "bench smoke" --smoke --jobs 4 --quiet \
     --cache-dir "$tsan_build/bench_smoke_cache" \
     --results "$tsan_build/bench_smoke_results" all
-
-echo "== bench smoke streamed (tsan) =="
-"$tsan_build/tools/oscache-bench" --smoke --jobs 4 --quiet --stream \
+tsan_smoke "bench smoke streamed" --smoke --jobs 4 --quiet --stream \
     --cache-dir "$tsan_build/bench_smoke_cache_stream" \
     --results "$tsan_build/bench_smoke_results_stream" all
 
