@@ -1,8 +1,12 @@
 #include "check/invariants.hh"
 
+#include <algorithm>
+#include <initializer_list>
 #include <sstream>
 
+#include "common/log.hh"
 #include "mem/memsys.hh"
+#include "verif/spec.hh"
 
 namespace oscache
 {
@@ -26,13 +30,99 @@ stateName(LineState st)
     return "?";
 }
 
+/** Bit of the edge @p from -> @p to in an edge matrix. */
+constexpr std::uint16_t
+edgeBit(LineState from, LineState to)
+{
+    return std::uint16_t(1u << (unsigned(from) * verif::numLineStates +
+                                unsigned(to)));
+}
+
+/**
+ * The secondary-line edges @p protocol can take: the union of the
+ * legal, in-scheme (state, event) -> next edges of the verif schemes
+ * that run under it (every MESI variant for Illinois, msi for MSI).
+ * A state none of those schemes ever enters (Exclusive under MSI)
+ * keeps all its exits: the edge into it is the violation, and the
+ * edges out of it are not reported a second time.
+ */
+constexpr std::uint16_t
+deriveLegalEdges(CoherenceProtocol protocol)
+{
+    std::uint16_t edges = 0;
+    unsigned entered = 1u << unsigned(LineState::Invalid);
+    for (std::size_t i = 0; i < verif::numSchemes; ++i) {
+        const auto scheme = static_cast<verif::ProtoScheme>(i);
+        if ((scheme == verif::ProtoScheme::Msi) !=
+            (protocol == CoherenceProtocol::Msi))
+            continue;
+        const verif::SchemeSpec spec = verif::buildSpec(scheme);
+        for (std::size_t s = 0; s < verif::numLineStates; ++s) {
+            for (std::size_t e = 0; e < verif::numEvents; ++e) {
+                const auto state = static_cast<LineState>(s);
+                const auto event = static_cast<verif::ProtoEvent>(e);
+                const verif::ProtoTransition &cell = spec.at(state, event);
+                if (!cell.legal || !spec.hasEvent(event))
+                    continue;
+                edges |= edgeBit(state, cell.next);
+                entered |= 1u << unsigned(cell.next);
+            }
+        }
+    }
+    for (std::size_t s = 0; s < verif::numLineStates; ++s) {
+        if ((entered >> s) & 1u)
+            continue;
+        for (std::size_t t = 0; t < verif::numLineStates; ++t)
+            edges |= edgeBit(LineState(s), LineState(t));
+    }
+    return edges;
+}
+
+/** Edges @p from -> each of @p to (pins below). */
+constexpr std::uint16_t
+edgesFrom(LineState from, std::initializer_list<LineState> to)
+{
+    std::uint16_t edges = 0;
+    for (const LineState t : to)
+        edges |= edgeBit(from, t);
+    return edges;
+}
+
+using S = LineState;
+
+// The derived matrices, pinned: a fill may install any state (MSI: no
+// Exclusive), an upgrade S->M rides an invalidation, exclusivity is
+// never gained silently (no S->E), dirty data is never dropped by a
+// clean downgrade (no M->E), and every self-loop and eviction is
+// legal.  Under MSI an Exclusive line is already illegal on entry.
+static_assert(deriveLegalEdges(CoherenceProtocol::Illinois) ==
+              (edgesFrom(S::Invalid, {S::Invalid, S::Shared, S::Exclusive,
+                                      S::Modified}) |
+               edgesFrom(S::Shared, {S::Invalid, S::Shared, S::Modified}) |
+               edgesFrom(S::Exclusive, {S::Invalid, S::Shared,
+                                        S::Exclusive, S::Modified}) |
+               edgesFrom(S::Modified, {S::Invalid, S::Shared,
+                                       S::Modified})));
+static_assert(deriveLegalEdges(CoherenceProtocol::Msi) ==
+              (edgesFrom(S::Invalid, {S::Invalid, S::Shared, S::Modified}) |
+               edgesFrom(S::Shared, {S::Invalid, S::Shared, S::Modified}) |
+               edgesFrom(S::Exclusive, {S::Invalid, S::Shared,
+                                        S::Exclusive, S::Modified}) |
+               edgesFrom(S::Modified, {S::Invalid, S::Shared,
+                                       S::Modified})));
+
 } // namespace
 
 CoherenceChecker::CoherenceChecker(const MachineConfig &config)
-    : cfg(config), shadowL2(config.numCpus), shadowL1(config.numCpus),
+    : cfg(config),
+      legalEdges(deriveLegalEdges(config.protocol)),
+      shadowL2(config.numCpus), shadowL1(config.numCpus),
       lastL1WbHorizon(config.numCpus, 0), lastL2WbHorizon(config.numCpus, 0)
 {
     cfg.check();
+    if (cfg.numCpus >= multiWriterBit)
+        panic("CoherenceChecker: at most ", multiWriterBit - 1,
+              " processors");
 }
 
 void
@@ -52,76 +142,65 @@ CoherenceChecker::report(CheckCode code, CpuId cpu, Addr addr,
     found.push_back(std::move(f));
 }
 
-bool
-CoherenceChecker::legalEdge(LineState from, LineState to) const
-{
-    if (from == to || to == LineState::Invalid)
-        return true; // Self-loops and invalidations/evictions.
-    if (to == LineState::Exclusive &&
-        cfg.protocol != CoherenceProtocol::Illinois)
-        return false; // Plain MSI has no Exclusive state at all.
-    switch (from) {
-      case LineState::Invalid:
-        return true; // A fill may install any state.
-      case LineState::Shared:
-        // Upgrade to Modified rides an invalidation; exclusivity is
-        // never gained silently.
-        return to == LineState::Modified;
-      case LineState::Exclusive:
-        return to == LineState::Modified || to == LineState::Shared;
-      case LineState::Modified:
-        // Demotion to Shared supplies the data; a clean downgrade to
-        // Exclusive would silently drop the dirty copy.
-        return to == LineState::Shared;
-    }
-    return false;
-}
-
 void
 CoherenceChecker::onL2Transition(CpuId cpu, Addr l2_line, LineState from,
                                  LineState to)
 {
     ++transitionCount;
-    auto &shadow = shadowL2[cpu];
-    const auto it = shadow.find(l2_line);
-    const LineState recorded =
-        it == shadow.end() ? LineState::Invalid : it->second;
+    StateShadow &shadow = shadowL2[cpu];
+    StateShadow::Word &slot = shadow.locate(l2_line);
+    const auto recorded = LineState(StateShadow::valueOf(slot));
     if (recorded != from) {
         std::ostringstream os;
         os << "transition reports from=" << stateName(from)
            << " but the shadow recorded " << stateName(recorded);
         report(CheckCode::ShadowMismatch, cpu, l2_line, os.str());
     }
-    if (!legalEdge(from, to)) {
+    if ((legalEdges & edgeBit(from, to)) == 0) {
         std::ostringstream os;
         os << "illegal MESI edge " << stateName(from) << "->"
            << stateName(to);
         report(CheckCode::IllegalTransition, cpu, l2_line, os.str());
     }
     if (to == LineState::Invalid)
-        shadow.erase(l2_line);
+        shadow.eraseSlot(slot);
     else
-        shadow[l2_line] = to;
-    touched.insert(l2_line);
+        slot = StateShadow::keyWord(l2_line) | StateShadow::Word(to);
+    touched.push_back(l2_line);
     if (to == LineState::Modified) {
-        std::uint32_t &mask = writerMask[l2_line];
-        mask |= 1u << cpu;
-        if ((mask & (mask - 1)) != 0)
-            multiWriter.insert(l2_line);
+        WriterTable::Word &w = writers.locate(l2_line);
+        const WriterTable::Word writer = WriterTable::Word(cpu) + 1;
+        const WriterTable::Word seen = WriterTable::valueOf(w);
+        if (seen == 0)
+            w |= writer;
+        else if ((seen & ~multiWriterBit) != writer)
+            w |= multiWriterBit;
     }
 }
 
 void
 CoherenceChecker::onL1Fill(CpuId cpu, Addr l1_line)
 {
-    shadowL1[cpu].insert(l1_line);
-    touched.insert(alignDown(l1_line, Addr{cfg.l2LineSize}));
+    shadowL1[cpu].locate(l1_line);
+    touched.push_back(alignDown(l1_line, Addr{cfg.l2LineSize}));
 }
 
 void
 CoherenceChecker::onL1Drop(CpuId cpu, Addr l1_line)
 {
     shadowL1[cpu].erase(l1_line);
+}
+
+std::vector<Addr>
+CoherenceChecker::multiWriterLines() const
+{
+    std::vector<Addr> lines;
+    writers.forEach([&lines](WriterTable::Word w) {
+        if ((w & multiWriterBit) != 0)
+            lines.push_back(WriterTable::keyOf(w));
+    });
+    std::sort(lines.begin(), lines.end());
+    return lines;
 }
 
 void
@@ -157,6 +236,11 @@ void
 CoherenceChecker::onOperationEnd(const MemorySystem &mem, MemOpKind op,
                                  CpuId cpu, Addr addr)
 {
+    if (touched.size() > 1) {
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()),
+                      touched.end());
+    }
     for (const Addr line : touched)
         checkLine(mem, line);
     touched.clear();
@@ -196,44 +280,46 @@ void
 CoherenceChecker::auditFull(const MemorySystem &mem)
 {
     touched.clear();
-    std::unordered_set<Addr> all_lines;
+    std::vector<Addr> all_lines;
     for (CpuId c = 0; c < cfg.numCpus; ++c) {
-        const auto &shadow = shadowL2[c];
+        const StateShadow &shadow = shadowL2[c];
         // Actual -> shadow: every resident line must be shadowed with
         // the same state.
         for (const Addr line : mem.l2Cache(c).residentLines()) {
-            all_lines.insert(line);
+            all_lines.push_back(line);
             const LineState actual = mem.l2State(c, line);
-            const auto it = shadow.find(line);
-            if (it == shadow.end()) {
+            const StateShadow::Word *w = shadow.find(line);
+            if (w == nullptr) {
                 report(CheckCode::ShadowMismatch, c, line,
                        "resident secondary line was never reported to "
                        "the observer");
-            } else if (it->second != actual) {
+            } else if (LineState(StateShadow::valueOf(*w)) != actual) {
                 std::ostringstream os;
                 os << "secondary line is " << stateName(actual)
-                   << " but the shadow recorded " << stateName(it->second);
+                   << " but the shadow recorded "
+                   << stateName(LineState(StateShadow::valueOf(*w)));
                 report(CheckCode::ShadowMismatch, c, line, os.str());
             }
         }
         // Shadow -> actual: no phantom entries.
-        for (const auto &[line, st] : shadow) {
-            const LineState actual = mem.l2State(c, line);
-            if (actual == LineState::Invalid) {
+        shadow.forEach([&](StateShadow::Word w) {
+            const Addr line = StateShadow::keyOf(w);
+            if (mem.l2State(c, line) == LineState::Invalid) {
                 std::ostringstream os;
-                os << "shadow holds " << stateName(st)
+                os << "shadow holds "
+                   << stateName(LineState(StateShadow::valueOf(w)))
                    << " for a line the secondary cache lost";
                 report(CheckCode::ShadowMismatch, c, line, os.str());
             }
-        }
+        });
 
         // Primary shadow cross-check and direct inclusion: a primary
         // line whose covering secondary line is resident nowhere
         // would escape the union walk below.
-        std::unordered_set<Addr> actual_l1;
-        for (const Addr line : mem.l1Cache(c).residentLines()) {
-            actual_l1.insert(line);
-            if (!shadowL1[c].count(line))
+        std::vector<Addr> actual_l1 = mem.l1Cache(c).residentLines();
+        std::sort(actual_l1.begin(), actual_l1.end());
+        for (const Addr line : actual_l1) {
+            if (!shadowL1[c].contains(line))
                 report(CheckCode::ShadowMismatch, c, line,
                        "resident primary line was never reported to "
                        "the observer");
@@ -241,12 +327,17 @@ CoherenceChecker::auditFull(const MemorySystem &mem)
                 report(CheckCode::InclusionViolation, c, line,
                        "primary-resident line has no secondary copy");
         }
-        for (const Addr line : shadowL1[c]) {
-            if (!actual_l1.count(line))
+        shadowL1[c].forEach([&](LineSet::Word w) {
+            const Addr line = LineSet::keyOf(w);
+            if (!std::binary_search(actual_l1.begin(), actual_l1.end(),
+                                    line))
                 report(CheckCode::ShadowMismatch, c, line,
                        "shadow holds a primary line the cache lost");
-        }
+        });
     }
+    std::sort(all_lines.begin(), all_lines.end());
+    all_lines.erase(std::unique(all_lines.begin(), all_lines.end()),
+                    all_lines.end());
     for (const Addr line : all_lines)
         checkLine(mem, line);
 }

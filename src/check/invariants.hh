@@ -38,17 +38,32 @@
  * The checker also records which lines were written (entered
  * Modified) by more than one processor; the race detector
  * cross-checks its lockset findings against this set.
+ *
+ * Edge legality is not written down here: the 4x4 edge matrix is
+ * derived at compile time from src/verif's constexpr scheme tables
+ * (the union of the legal edges of the configured protocol's
+ * schemes), so the checker and the conformance pass enforce one spec.
+ *
+ * All shadow state lives in flat open-addressing tables keyed by line
+ * address (mem/flat_table.hh) — never by the engine's (set, way), so
+ * the shadow stays independent of the tag arrays it audits.  Each
+ * per-processor secondary shadow packs a line and its two-bit state
+ * into one word, each primary shadow is a line set, and one table
+ * maps every written line to its first writer plus a "second writer
+ * seen" bit.  Lines touched since the last operation boundary are
+ * gathered in a vector that onOperationEnd sorts and deduplicates, so
+ * the hot path allocates nothing per event.
  */
 
 #ifndef OSCACHE_CHECK_INVARIANTS_HH
 #define OSCACHE_CHECK_INVARIANTS_HH
 
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "check/finding.hh"
 #include "mem/config.hh"
+#include "mem/flat_table.hh"
 #include "mem/observer.hh"
 
 namespace oscache
@@ -89,31 +104,42 @@ class CoherenceChecker : public MemEventObserver
 
     /**
      * Secondary lines written (entered Modified) by more than one
-     * processor over the run — the protocol-level footprint of
-     * write sharing, used to corroborate lockset race findings.
+     * processor over the run, sorted — the protocol-level footprint
+     * of write sharing, used to corroborate lockset race findings
+     * (RaceCrossCheck).
      */
-    const std::unordered_set<Addr> &
-    multiWriterLines() const
-    {
-        return multiWriter;
-    }
+    std::vector<Addr> multiWriterLines() const;
 
   private:
+    /** Line -> LineState (Invalid lines are absent). */
+    using StateShadow = FlatTable<2>;
+    /** Set of lines. */
+    using LineSet = FlatTable<0>;
+    /**
+     * Line -> first writer's CpuId + 1, with multiWriterBit set once
+     * a second processor writes the line.
+     */
+    using WriterTable = FlatTable<16>;
+    static constexpr WriterTable::Word multiWriterBit = 0x8000;
+
     void report(CheckCode code, CpuId cpu, Addr addr, std::string message);
-    bool legalEdge(LineState from, LineState to) const;
     /** SWMR + inclusion for one secondary line, against @p mem. */
     void checkLine(const MemorySystem &mem, Addr l2_line);
 
     MachineConfig cfg;
-    /** Per-processor shadow of the secondary states (Invalid absent). */
-    std::vector<std::unordered_map<Addr, LineState>> shadowL2;
+    /** Bit from * 4 + to set iff the protocol can take from -> to. */
+    std::uint16_t legalEdges;
+    /** Per-processor shadow of the secondary states. */
+    std::vector<StateShadow> shadowL2;
     /** Per-processor shadow of primary residency. */
-    std::vector<std::unordered_set<Addr>> shadowL1;
-    /** Secondary lines touched since the last operation boundary. */
-    std::unordered_set<Addr> touched;
-    /** Per-line bitmask of processors that entered Modified. */
-    std::unordered_map<Addr, std::uint32_t> writerMask;
-    std::unordered_set<Addr> multiWriter;
+    std::vector<LineSet> shadowL1;
+    /**
+     * Secondary lines touched since the last operation boundary
+     * (duplicates allowed; onOperationEnd sorts them out).
+     */
+    std::vector<Addr> touched;
+    /** Writers of every line that ever entered Modified. */
+    WriterTable writers;
     /** Last seen write-buffer completion horizons, per processor. */
     std::vector<Cycles> lastL1WbHorizon;
     std::vector<Cycles> lastL2WbHorizon;

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace oscache
 {
@@ -97,7 +98,8 @@ detectRaces(const Trace &trace, const RaceCrossCheck &cross)
            << " processors with no common lock";
         if (cross.multiWriterLines && cross.lineSize) {
             const Addr line = alignDown(addr, cross.lineSize);
-            os << (cross.multiWriterLines->count(line)
+            os << (std::binary_search(cross.multiWriterLines->begin(),
+                                      cross.multiWriterLines->end(), line)
                        ? "; the simulator saw the line gain multiple "
                          "writers"
                        : "; the simulator never saw the line gain "

@@ -29,7 +29,6 @@
 #ifndef OSCACHE_CHECK_RACEDETECT_HH
 #define OSCACHE_CHECK_RACEDETECT_HH
 
-#include <unordered_set>
 #include <vector>
 
 #include "check/finding.hh"
@@ -43,9 +42,10 @@ struct RaceCrossCheck
 {
     /**
      * Secondary lines that entered Modified on more than one
-     * processor (CoherenceChecker::multiWriterLines()), or nullptr.
+     * processor, sorted (CoherenceChecker::multiWriterLines()), or
+     * nullptr.
      */
-    const std::unordered_set<Addr> *multiWriterLines = nullptr;
+    const std::vector<Addr> *multiWriterLines = nullptr;
     /** Secondary line size used to map addresses onto that set. */
     Addr lineSize = 0;
 };

@@ -12,13 +12,14 @@
  * classify-then-clear sequence costs a single linear probe over a
  * contiguous array.
  *
- * Each slot is a single 64-bit word holding the line address shifted
- * up by the flag width with the flags packed into the freed low bits
- * — a probe touches exactly one cache line and reads both mark
- * classes at once.  A clear that drops a line's last flag removes
- * the key outright via backward-shift deletion, so the table never
- * accumulates dead entries and its load factor tracks the live mark
- * population exactly.  Per-flag population counters make the "is
+ * The table is a FlatTable<3> (mem/flat_table.hh): each slot is a
+ * single 64-bit word holding the line address shifted up by the flag
+ * width with the flags packed into the freed low bits — a probe
+ * touches exactly one cache line and reads both mark classes at once.
+ * A clear that drops a line's last flag removes the key outright via
+ * backward-shift deletion, so the table never accumulates dead
+ * entries and its load factor tracks the live mark population
+ * exactly.  Per-flag population counters make the "is
  * this whole mark class empty" test O(1), which is what keeps
  * schemes that never bypass from ever probing for bypass marks.
  */
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/flat_table.hh"
 
 namespace oscache
 {
@@ -47,22 +49,12 @@ class MarkTable
     static constexpr std::uint8_t bypass = 4;     ///< Fetched w/o allocate.
     /** @} */
 
-    MarkTable() { rebuild(initialSlots); }
-
     /** Flags recorded for @p line (0 when unmarked). */
     std::uint8_t
     flagsAt(Addr line) const
     {
-        const std::uint64_t key = packedKey(line);
-        std::size_t i = slotFor(line);
-        while (true) {
-            const std::uint64_t v = slots[i];
-            if ((v & ~flagMask) == key)
-                return std::uint8_t(v & flagMask);
-            if (v == emptySlot)
-                return 0;
-            i = (i + 1) & mask;
-        }
+        const Table::Word *v = table.find(line);
+        return v == nullptr ? 0 : std::uint8_t(Table::valueOf(*v));
     }
 
     bool test(Addr line, std::uint8_t flag) const
@@ -74,7 +66,7 @@ class MarkTable
     void
     set(Addr line, std::uint8_t flag)
     {
-        std::uint64_t &v = locate(line);
+        Table::Word &v = table.locate(line);
         if ((v & flag) == 0) {
             v |= flag;
             bump(flag, +1);
@@ -92,27 +84,19 @@ class MarkTable
     void
     clearAll(Addr line, std::uint8_t flag_mask)
     {
-        const std::uint64_t key = packedKey(line);
-        std::size_t i = slotFor(line);
-        while (true) {
-            std::uint64_t &v = slots[i];
-            if ((v & ~flagMask) == key) {
-                const std::uint8_t dropped =
-                    std::uint8_t(v & flag_mask & flagMask);
-                if (dropped != 0) {
-                    v &= ~std::uint64_t(flag_mask & flagMask);
-                    for (std::uint8_t f = 1; f <= bypass; f <<= 1)
-                        if ((dropped & f) != 0)
-                            bump(f, -1);
-                    if ((v & flagMask) == 0)
-                        removeSlot(i);
-                }
-                return;
-            }
-            if (v == emptySlot)
-                return;
-            i = (i + 1) & mask;
-        }
+        Table::Word *v = table.find(line);
+        if (v == nullptr)
+            return;
+        const std::uint8_t dropped =
+            std::uint8_t(*v & flag_mask & Table::valueMask);
+        if (dropped == 0)
+            return;
+        *v &= ~Table::Word(dropped);
+        for (std::uint8_t f = 1; f <= bypass; f <<= 1)
+            if ((dropped & f) != 0)
+                bump(f, -1);
+        if (Table::valueOf(*v) == 0)
+            table.eraseSlot(*v);
     }
 
     /** Number of lines currently carrying @p flag. */
@@ -130,9 +114,10 @@ class MarkTable
     {
         std::vector<Addr> lines;
         lines.reserve(population(flag));
-        for (const std::uint64_t v : slots)
-            if (v != emptySlot && (v & flag) != 0)
-                lines.push_back(Addr(v >> flagBits));
+        table.forEach([&](Table::Word v) {
+            if ((v & flag) != 0)
+                lines.push_back(Table::keyOf(v));
+        });
         std::sort(lines.begin(), lines.end());
         return lines;
     }
@@ -141,57 +126,24 @@ class MarkTable
     void
     clearClass(std::uint8_t flag)
     {
-        if (!any(flag))
-            return;
-        // Rebuild from the survivors: stripping the flag in place
-        // would leave flag-free keys resident.
-        std::vector<std::uint64_t> old = std::move(slots);
-        rebuild(old.size());
-        counts[countIndex(flag)] = 0;
-        for (const std::uint64_t v : old) {
-            if (v == emptySlot)
-                continue;
-            const std::uint64_t rest = v & ~std::uint64_t(flag);
-            if ((rest & flagMask) == 0)
-                continue;
-            std::size_t i = slotFor(Addr(v >> flagBits));
-            while (slots[i] != emptySlot)
-                i = (i + 1) & mask;
-            slots[i] = rest;
-            ++used;
-        }
+        // clear() drops a line's key with its last flag, so no
+        // flag-free key stays resident.
+        for (const Addr line : snapshot(flag))
+            clear(line, flag);
     }
 
   private:
     /**
      * Flag bits live in the low bits of the packed slot word; the
-     * line address occupies the rest.  Simulated addresses stay far
-     * below 2^61, so the shift cannot overflow.
+     * line address occupies the rest, so a probe reads both mark
+     * classes at once.
      */
-    static constexpr std::uint64_t flagBits = 3;
-    static constexpr std::uint64_t flagMask = (1u << flagBits) - 1;
-    /** All-ones: packedKey(line) can never produce it. */
-    static constexpr std::uint64_t emptySlot = ~std::uint64_t{0};
-    static constexpr std::size_t initialSlots = 1024;
-
-    static constexpr std::uint64_t
-    packedKey(Addr line)
-    {
-        return std::uint64_t(line) << flagBits;
-    }
+    using Table = FlatTable<3>;
 
     static constexpr std::size_t
     countIndex(std::uint8_t flag)
     {
         return flag == coherence ? 0 : flag == blockEvict ? 1 : 2;
-    }
-
-    std::size_t
-    slotFor(Addr line) const
-    {
-        // Fibonacci multiplicative spread of the line-address bits.
-        return std::size_t(
-                   (line * 0x9E3779B97F4A7C15ull) >> 32) & mask;
     }
 
     void
@@ -201,84 +153,7 @@ class MarkTable
             std::size_t(std::ptrdiff_t(counts[countIndex(flag)]) + delta);
     }
 
-    /** Find @p line's slot, claiming an empty one when absent. */
-    std::uint64_t &
-    locate(Addr line)
-    {
-        const std::uint64_t key = packedKey(line);
-        std::size_t i = slotFor(line);
-        while (true) {
-            std::uint64_t &v = slots[i];
-            if ((v & ~flagMask) == key)
-                return v;
-            if (v == emptySlot) {
-                if (used + 1 > (slots.size() * 7) / 10) {
-                    grow();
-                    return locate(line);
-                }
-                v = key;
-                ++used;
-                return v;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /**
-     * Unlink slot @p i and backward-shift the probe chain behind it
-     * so every remaining key stays reachable from its home slot.
-     */
-    void
-    removeSlot(std::size_t i)
-    {
-        std::size_t hole = i;
-        std::size_t j = i;
-        while (true) {
-            j = (j + 1) & mask;
-            const std::uint64_t v = slots[j];
-            if (v == emptySlot)
-                break;
-            const std::size_t home = slotFor(Addr(v >> flagBits));
-            // Move v into the hole unless its home lies strictly
-            // between the hole and its current slot (then the hole
-            // does not break its probe chain).
-            if (((j - home) & mask) >= ((j - hole) & mask)) {
-                slots[hole] = v;
-                hole = j;
-            }
-        }
-        slots[hole] = emptySlot;
-        --used;
-    }
-
-    /** Double the table (every resident entry is live). */
-    void
-    grow()
-    {
-        std::vector<std::uint64_t> old = std::move(slots);
-        rebuild(old.size() * 2);
-        for (const std::uint64_t v : old) {
-            if (v == emptySlot)
-                continue;
-            std::size_t i = slotFor(Addr(v >> flagBits));
-            while (slots[i] != emptySlot)
-                i = (i + 1) & mask;
-            slots[i] = v;
-            ++used;
-        }
-    }
-
-    void
-    rebuild(std::size_t n)
-    {
-        slots.assign(n, emptySlot);
-        mask = n - 1;
-        used = 0;
-    }
-
-    std::vector<std::uint64_t> slots;
-    std::size_t mask = 0;
-    std::size_t used = 0;
+    Table table;
     /** Live marks per class: [coherence, blockEvict, bypass]. */
     std::size_t counts[3] = {0, 0, 0};
 };

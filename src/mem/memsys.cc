@@ -118,18 +118,6 @@ MemorySystem::isUpdateAddr(Addr addr) const
     return updatePages->count(alignDown(addr, Addr{4096})) != 0;
 }
 
-bool
-MemorySystem::l1Contains(CpuId cpu, Addr addr) const
-{
-    return cpus[cpu].l1.contains(addr);
-}
-
-LineState
-MemorySystem::l2State(CpuId cpu, Addr addr) const
-{
-    return cpus[cpu].l2.state(addr);
-}
-
 MissCause
 MemorySystem::classifyMiss(CpuMem &mem, Addr line)
 {

@@ -210,9 +210,18 @@ class MemorySystem
     /** @} */
 
     /** True iff @p cpu's primary cache holds the line of @p addr. */
-    bool l1Contains(CpuId cpu, Addr addr) const;
+    bool
+    l1Contains(CpuId cpu, Addr addr) const
+    {
+        return cpus[cpu].l1.contains(addr);
+    }
+
     /** State of @p addr's line in @p cpu's secondary cache. */
-    LineState l2State(CpuId cpu, Addr addr) const;
+    LineState
+    l2State(CpuId cpu, Addr addr) const
+    {
+        return cpus[cpu].l2.state(addr);
+    }
 
     /** True iff @p addr lies in a registered update-protocol page. */
     bool isUpdateAddr(Addr addr) const;
@@ -231,8 +240,8 @@ class MemorySystem
 
     /**
      * Attach several observers at once (nulls are skipped) through
-     * the flat fan-out — check / obs / dft taps without the extra
-     * virtual hop a MemEventObserverMux would cost per event.
+     * the flat fan-out — check / obs / dft taps, one virtual call per
+     * tap per event.
      */
     void
     setObservers(std::initializer_list<MemEventObserver *> taps)
@@ -396,7 +405,7 @@ class MemorySystem
     void
     opBegin(MemOpKind op, CpuId cpu, Addr addr)
     {
-        if (fan.active())
+        if (fan.wantsOperationBegin())
             fan.onOperationBegin(*this, op, cpu, addr);
     }
 

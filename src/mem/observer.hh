@@ -17,8 +17,6 @@
 #ifndef OSCACHE_MEM_OBSERVER_HH
 #define OSCACHE_MEM_OBSERVER_HH
 
-#include <vector>
-
 #include "common/log.hh"
 #include "common/types.hh"
 #include "mem/access.hh"
@@ -146,12 +144,22 @@ struct MemEventObserver
     }
 
     /**
+     * Operation-begin reporting is gated the same way: queried once at
+     * attach time, and when no tap wants it the memory system skips
+     * the onOperationBegin call — one virtual call per operation —
+     * altogether.  An observer that overrides onOperationBegin must
+     * return true here.
+     */
+    virtual bool wantsOperationBegin() const { return false; }
+
+    /**
      * A processor-side operation is about to execute.  Fired before
      * the operation touches any cache state, so an observer that
      * classifies the L2 transitions between begin and end (the
      * conformance extractor in src/verif) knows which processor
      * initiated them, what kind of operation is in flight, and what
-     * the initiator's pre-operation line state was.
+     * the initiator's pre-operation line state was.  Gated on
+     * wantsOperationBegin().
      */
     virtual void
     onOperationBegin(const MemorySystem &mem, MemOpKind op, CpuId cpu,
@@ -239,13 +247,12 @@ struct MemEventObserver
 
 /**
  * Flat, devirtualized observer fan-out: a fixed array of taps the
- * memory system iterates inline.  Unlike MemEventObserverMux (one
- * virtual hop into the mux, then one per child), the fan-out's
- * forwarders are non-virtual and inlined into the notify helpers, so
- * an event costs exactly one `active()` branch when nothing is
- * attached and one virtual call per tap otherwise.  The
- * wantsAccessEvents() answer is cached at attach time, collapsing the
- * per-access gate to a single flag test.
+ * memory system iterates inline.  The fan-out's forwarders are
+ * non-virtual and inlined into the notify helpers, so an event costs
+ * exactly one `active()` branch when nothing is attached and one
+ * virtual call per tap otherwise — no intermediate observer hop.  The
+ * wantsAccessEvents() and wantsOperationBegin() answers are cached at
+ * attach time, collapsing each gate to a single flag test.
  */
 class ObserverFanout
 {
@@ -258,6 +265,7 @@ class ObserverFanout
     {
         count = 0;
         wantsAccess = false;
+        wantsBegin = false;
     }
 
     /** Attach @p observer (ignored when null). */
@@ -270,6 +278,7 @@ class ObserverFanout
             panic("ObserverFanout: more than ", maxTaps, " taps");
         taps[count++] = observer;
         wantsAccess = wantsAccess || observer->wantsAccessEvents();
+        wantsBegin = wantsBegin || observer->wantsOperationBegin();
     }
 
     bool active() const { return count != 0; }
@@ -278,6 +287,9 @@ class ObserverFanout
 
     /** Cached any-tap wantsAccessEvents() (hot-path gate). */
     bool wantsAccessEvents() const { return wantsAccess; }
+
+    /** Cached any-tap wantsOperationBegin() (per-operation gate). */
+    bool wantsOperationBegin() const { return wantsBegin; }
 
     /** The sole tap when exactly one is attached, else nullptr. */
     MemEventObserver *
@@ -370,122 +382,7 @@ class ObserverFanout
     MemEventObserver *taps[maxTaps] = {};
     unsigned count = 0;
     bool wantsAccess = false;
-};
-
-/**
- * Fan-out observer: forwards every event to each attached observer in
- * attachment order.  Used when a run wants both the coherence checker
- * and the observability hub on the same memory system.
- *
- * Retained for consumers that need a MemEventObserver-shaped bundle;
- * the memory system itself fans out through the flat ObserverFanout
- * above (setObservers()), which skips the extra virtual hop.
- */
-class MemEventObserverMux : public MemEventObserver
-{
-  public:
-    /** Attach @p observer (ignored when null). */
-    void
-    add(MemEventObserver *observer)
-    {
-        if (observer != nullptr)
-            list.push_back(observer);
-    }
-
-    bool empty() const { return list.empty(); }
-
-    bool
-    wantsAccessEvents() const override
-    {
-        for (MemEventObserver *o : list)
-            if (o->wantsAccessEvents())
-                return true;
-        return false;
-    }
-
-    void
-    onAccess(const MemAccessEvent &event) override
-    {
-        for (MemEventObserver *o : list)
-            o->onAccess(event);
-    }
-
-    void
-    onBlockOp(CpuId cpu, const BlockOp &op, Cycles start,
-              Cycles end) override
-    {
-        for (MemEventObserver *o : list)
-            o->onBlockOp(cpu, op, start, end);
-    }
-
-    void
-    onL2Transition(CpuId cpu, Addr l2_line, LineState from,
-                   LineState to) override
-    {
-        for (MemEventObserver *o : list)
-            o->onL2Transition(cpu, l2_line, from, to);
-    }
-
-    void
-    onL1Fill(CpuId cpu, Addr l1_line) override
-    {
-        for (MemEventObserver *o : list)
-            o->onL1Fill(cpu, l1_line);
-    }
-
-    void
-    onL1Drop(CpuId cpu, Addr l1_line) override
-    {
-        for (MemEventObserver *o : list)
-            o->onL1Drop(cpu, l1_line);
-    }
-
-    void
-    onOperationBegin(const MemorySystem &mem, MemOpKind op, CpuId cpu,
-                     Addr addr) override
-    {
-        for (MemEventObserver *o : list)
-            o->onOperationBegin(mem, op, cpu, addr);
-    }
-
-    void
-    onDmaBegin(CpuId cpu, const BlockOp &op) override
-    {
-        for (MemEventObserver *o : list)
-            o->onDmaBegin(cpu, op);
-    }
-
-    void
-    onOperationEnd(const MemorySystem &mem, MemOpKind op, CpuId cpu,
-                   Addr addr) override
-    {
-        for (MemEventObserver *o : list)
-            o->onOperationEnd(mem, op, cpu, addr);
-    }
-
-    void
-    onCodeFill(CpuId cpu, Addr addr, std::uint32_t bytes) override
-    {
-        for (MemEventObserver *o : list)
-            o->onCodeFill(cpu, addr, bytes);
-    }
-
-    void
-    onDma(CpuId cpu, const BlockOp &op) override
-    {
-        for (MemEventObserver *o : list)
-            o->onDma(cpu, op);
-    }
-
-    void
-    onBufferPrefetchFill(CpuId cpu, Addr addr) override
-    {
-        for (MemEventObserver *o : list)
-            o->onBufferPrefetchFill(cpu, addr);
-    }
-
-  private:
-    std::vector<MemEventObserver *> list;
+    bool wantsBegin = false;
 };
 
 } // namespace oscache

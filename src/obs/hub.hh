@@ -8,9 +8,9 @@
  * MemEventObserver (per-access, coherence, and block-operation
  * events) and BusProbe (per-grant bus events) — and fans each event
  * out to whichever components the run's ObsOptions enabled.  The
- * runner attaches it next to the coherence checker through a
- * MemEventObserverMux, so verification and observation coexist on the
- * single observer slot.
+ * runner attaches it next to the coherence checker through the memory
+ * system's flat observer fan-out (MemorySystem::setObservers), so
+ * verification and observation coexist without an extra hop.
  *
  * When the run finishes, finish() freezes everything into an
  * immutable ObsReport that outlives the hub (RunResult carries it by

@@ -203,7 +203,7 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
     }
 
     // Checker and hub tap the flat observer fan-out directly — no
-    // intermediate mux hop on the per-event path.
+    // intermediate observer hop on the per-event path.
     mem.setObservers({checker.get(), hub.get()});
 
     auto executor = makeBlockOpExecutor(scheme, mem, result.stats, options);

@@ -50,9 +50,11 @@ struct SimOptions
      * Attach the coherence invariant checker (src/check) to the
      * memory system and panic on any violation.  On by default: it
      * turns a subtle protocol bug into an immediate, attributed
-     * failure.  It is not cheap: in perfbench's traced paper_warm run
-     * the checker takes about 60% of checked replay time (check.share
-     * 0.60).
+     * failure.  It is not free: in perfbench's traced paper_warm run
+     * the checker takes about 40% of checked replay time (check.share
+     * 0.40-0.42 on a 4-vCPU Xeon VM, down from 0.62-0.65 before its
+     * shadow state moved to flat tables), i.e. checked replay costs
+     * about 1.7x bare.
      */
     bool checkCoherence = true;
 

@@ -18,6 +18,7 @@
 #include "common/version.hh"
 #include "core/hotspot/hotspot.hh"
 #include "core/runner.hh"
+#include "mem/memsys.hh"
 #include "mem/observer.hh"
 #include "obs/busmon.hh"
 #include "obs/hub.hh"
@@ -274,41 +275,81 @@ TEST(WindowedSeriesTest, PointSamplesAverage)
     EXPECT_DOUBLE_EQ(s.meanAt(1), 100.0);
 }
 
-// -------------------------------------------------------------- mux
+// ---------------------------------------------------------- fan-out
 
 struct CountingObserver : MemEventObserver
 {
     int accesses = 0;
     int blockOps = 0;
+    int begins = 0;
     bool wants;
-    explicit CountingObserver(bool w) : wants(w) {}
+    bool wantsBegin;
+    explicit CountingObserver(bool w, bool b = false)
+        : wants(w), wantsBegin(b)
+    {}
     bool wantsAccessEvents() const override { return wants; }
+    bool wantsOperationBegin() const override { return wantsBegin; }
     void onAccess(const MemAccessEvent &) override { ++accesses; }
     void onBlockOp(CpuId, const BlockOp &, Cycles, Cycles) override
     {
         ++blockOps;
     }
+    void
+    onOperationBegin(const MemorySystem &, MemOpKind, CpuId, Addr) override
+    {
+        ++begins;
+    }
 };
 
-TEST(ObserverMuxTest, ForwardsToAllAndOrsWants)
+TEST(ObserverFanoutTest, ForwardsToAllAndOrsWants)
 {
     CountingObserver quiet(false);
-    CountingObserver chatty(true);
-    MemEventObserverMux mux;
-    EXPECT_TRUE(mux.empty());
-    mux.add(&quiet);
-    EXPECT_FALSE(mux.wantsAccessEvents());
-    mux.add(&chatty);
-    EXPECT_TRUE(mux.wantsAccessEvents());
+    CountingObserver chatty(true, true);
+    ObserverFanout fan;
+    EXPECT_TRUE(fan.empty());
+    EXPECT_FALSE(fan.active());
+    fan.add(&quiet);
+    fan.add(nullptr);
+    EXPECT_EQ(fan.size(), 1u);
+    EXPECT_EQ(fan.single(), &quiet);
+    EXPECT_FALSE(fan.wantsAccessEvents());
+    EXPECT_FALSE(fan.wantsOperationBegin());
+    fan.add(&chatty);
+    EXPECT_EQ(fan.size(), 2u);
+    EXPECT_EQ(fan.single(), nullptr);
+    EXPECT_TRUE(fan.wantsAccessEvents());
+    EXPECT_TRUE(fan.wantsOperationBegin());
 
     MemAccessEvent ev;
-    mux.onAccess(ev);
+    fan.onAccess(ev);
     BlockOp op;
-    mux.onBlockOp(0, op, 10, 20);
+    fan.onBlockOp(0, op, 10, 20);
     EXPECT_EQ(quiet.accesses, 1);
     EXPECT_EQ(chatty.accesses, 1);
     EXPECT_EQ(quiet.blockOps, 1);
     EXPECT_EQ(chatty.blockOps, 1);
+
+    fan.clear();
+    EXPECT_FALSE(fan.active());
+    EXPECT_FALSE(fan.wantsAccessEvents());
+    EXPECT_FALSE(fan.wantsOperationBegin());
+}
+
+TEST(ObserverFanoutTest, OperationBeginOnlyWhenATapWantsIt)
+{
+    MemorySystem mem(MachineConfig::base());
+    CountingObserver quiet(false);
+    mem.setObserver(&quiet);
+    AccessContext ctx;
+    mem.read(0, 0x1000, 0, ctx);
+    EXPECT_EQ(quiet.begins, 0);
+
+    CountingObserver tap(false, true);
+    mem.setObservers({&quiet, &tap});
+    mem.read(0, 0x2000, 100, ctx);
+    // A wanted begin event reaches every tap.
+    EXPECT_EQ(quiet.begins, 1);
+    EXPECT_EQ(tap.begins, 1);
 }
 
 // ------------------------------------------------------- options

@@ -16,7 +16,11 @@
  *  - MarkTable behaves exactly like the three unordered sets it
  *    replaced (flags, populations, sorted snapshots, class clears,
  *    probe-chain integrity across backward-shift deletions and
- *    growth).
+ *    growth);
+ *  - FlatTable, the open-addressing core under MarkTable and the
+ *    coherence checker's shadows, behaves exactly like a
+ *    std::unordered_map under random inserts, overwrites, erases and
+ *    growth over colliding keys.
  */
 
 #include <gtest/gtest.h>
@@ -29,16 +33,19 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "check/invariants.hh"
 #include "common/binio.hh"
 #include "core/blockop/schemes.hh"
+#include "mem/flat_table.hh"
 #include "mem/marks.hh"
 #include "mem/memsys.hh"
 #include "sim/system.hh"
 #include "synth/generator.hh"
 #include "synth/profile.hh"
+#include "testutil.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter for the zero-allocation test.  Counting
@@ -514,6 +521,109 @@ TEST(MarkTable, BackwardShiftKeepsCollidingChainsReachable)
             EXPECT_TRUE(t.test(keys[i], MarkTable::coherence)) << keys[i];
     }
     EXPECT_EQ(t.population(MarkTable::coherence), keys.size() / 2);
+}
+
+
+// ---------------------------------------------------------------------
+// FlatTable (the open-addressing core) against a reference map
+// ---------------------------------------------------------------------
+
+/**
+ * Differential test of FlatTable<ValueBits> against an unordered_map.
+ * The table starts at 16 slots and keys come from a pool of 48, so
+ * nearly every key shares a probe chain with others (wrapping around
+ * the end of the array), erases hit the backward-shift path on long
+ * chains, and the table doubles several times.  After every phase the
+ * full contents are compared: forEach must visit each live key
+ * exactly once with its value.
+ */
+template <unsigned ValueBits>
+void
+flatTableMatchesReference(std::uint64_t seed)
+{
+    using Table = FlatTable<ValueBits>;
+    Rng rng = testutil::testRng(seed);
+    Table t(16);
+    std::unordered_map<Addr, std::uint64_t> ref;
+    std::vector<Addr> pool;
+    for (int i = 0; i < 48; ++i)
+        pool.push_back(Addr(rng.below(1u << 20)) * 32);
+
+    const auto compare = [&] {
+        ASSERT_EQ(t.size(), ref.size());
+        std::unordered_map<Addr, int> visits;
+        t.forEach([&](typename Table::Word w) {
+            const Addr key = Table::keyOf(w);
+            ++visits[key];
+            const auto it = ref.find(key);
+            ASSERT_NE(it, ref.end()) << "stray key " << key;
+            EXPECT_EQ(Table::valueOf(w), it->second) << key;
+        });
+        ASSERT_EQ(visits.size(), ref.size());
+        for (const auto &[key, n] : visits)
+            EXPECT_EQ(n, 1) << "key " << key << " visited " << n << "x";
+        for (const auto &[key, value] : ref) {
+            const typename Table::Word *w = t.find(key);
+            ASSERT_NE(w, nullptr) << "lost key " << key;
+            EXPECT_EQ(Table::valueOf(*w), value);
+        }
+    };
+
+    const int phases = testutil::propIters(40);
+    for (int phase = 0; phase < phases; ++phase) {
+        // Widen the pool now and then so the table keeps growing.
+        if (phase % 8 == 7)
+            for (int i = 0; i < 48; ++i)
+                pool.push_back(Addr(rng.below(1u << 20)) * 32);
+        for (int step = 0; step < 500; ++step) {
+            const Addr key = pool[rng.below(pool.size())];
+            const std::uint64_t value =
+                rng.below(std::uint64_t{1} << ValueBits);
+            switch (rng.below(6)) {
+              case 0:
+              case 1: {
+                // Insert or overwrite through locate().
+                typename Table::Word &w = t.locate(key);
+                w = Table::keyWord(key) | value;
+                ref[key] = value;
+                break;
+              }
+              case 2:
+                t.erase(key);
+                ref.erase(key);
+                break;
+              case 3:
+                if (typename Table::Word *w = t.find(key)) {
+                    t.eraseSlot(*w);
+                    ref.erase(key);
+                } else {
+                    ASSERT_EQ(ref.count(key), 0u) << key;
+                }
+                break;
+              default:
+                ASSERT_EQ(t.contains(key), ref.count(key) != 0) << key;
+                break;
+            }
+        }
+        compare();
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    // Drain everything: the table must come back empty.
+    for (const Addr key : pool) {
+        t.erase(key);
+        ref.erase(key);
+    }
+    compare();
+    EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(FlatTable, RandomOpsMatchReferenceMap)
+{
+    flatTableMatchesReference<0>(11);  // Line sets.
+    flatTableMatchesReference<2>(12);  // Shadow secondary states.
+    flatTableMatchesReference<3>(13);  // MarkTable flags.
+    flatTableMatchesReference<16>(14); // Checker writer table.
 }
 
 } // namespace

@@ -235,8 +235,9 @@ echo "== sample: dft oracle on sampled windows =="
 # benchmarks run flat-bus machines, so this doubles as the guard
 # that the NUMA branches stayed off the single-socket fast path.
 # Throughput is measured as the perf_simulator replay section (best
-# of 3 per workload) on a Release+LTO tree; any workload more than 5%
-# below the latest BENCH_perf.json entry fails the sweep.  After an
+# of 3 per workload) on a Release+LTO tree; any workload whose bare or
+# checked throughput is more than 5% below the latest BENCH_perf.json
+# entry fails the sweep.  After an
 # intentional engine change, re-baseline with
 # `tools/bench_append.sh perf`.
 perf_build="$build-perf"
@@ -268,8 +269,10 @@ then
 fi
 echo "suite pin passed: $(wc -l < "$tracedir/suite.sorted.jsonl") rows"
 
-# Three full invocations, best per workload: a single run can lose
-# 15% to transient machine load, which would flake a 5% gate.
+# Three full invocations, best per workload and per metric: a single
+# run can lose 15% to transient machine load, which would flake a 5%
+# gate.  Both bare replay (the engine alone) and checked replay (the
+# engine plus the always-on coherence checker) are gated.
 echo "== perf gate: replay throughput vs BENCH_perf.json =="
 for run in 1 2 3; do
     OSCACHE_BENCH_PERF_OUT="$tracedir/perf-$run.json" \
@@ -280,12 +283,13 @@ python3 - "$repo/BENCH_perf.json" "$tracedir"/perf-*.json << 'EOF'
 import json, sys
 
 bench_path = sys.argv[1]
+metrics = ("accesses_per_sec", "checked_accesses_per_sec")
 measured = {}
 for perf_path in sys.argv[2:]:
     for r in json.load(open(perf_path))["replay"]:
-        best = measured.get(r["workload"])
-        if best is None or r["accesses_per_sec"] > best["accesses_per_sec"]:
-            measured[r["workload"]] = r
+        best = measured.setdefault(r["workload"], {})
+        for m in metrics:
+            best[m] = max(best.get(m, 0.0), r[m])
 
 baseline_entry = json.load(open(bench_path))["entries"][-1]
 baseline = {r["workload"]: r for r in baseline_entry["workloads"]}
@@ -297,13 +301,15 @@ for name, base in sorted(baseline.items()):
         print("perf gate: workload %s missing from run" % name)
         failed = True
         continue
-    ratio = got["accesses_per_sec"] / base["accesses_per_sec"]
-    status = "ok" if ratio >= 0.95 else "REGRESSED"
-    print("  %-11s %6.2fM acc/s vs baseline %6.2fM (%.2fx) %s"
-          % (name, got["accesses_per_sec"] / 1e6,
-             base["accesses_per_sec"] / 1e6, ratio, status))
-    if ratio < 0.95:
-        failed = True
+    for m, label in zip(metrics, ("bare", "checked")):
+        ratio = got[m] / base[m]
+        status = "ok" if ratio >= 0.95 else "REGRESSED"
+        print("  %-11s %-7s %6.2fM acc/s vs baseline %6.2fM (%.2fx) %s"
+              % (name, label, got[m] / 1e6, base[m] / 1e6, ratio, status))
+        if ratio < 0.95:
+            failed = True
+    print("  %-11s checked/bare time %.2fx"
+          % (name, got[metrics[0]] / got[metrics[1]]))
 if failed:
     print("perf gate failed: >5%% regression vs entry dated %s (%s)"
           % (baseline_entry["date"], baseline_entry["label"]))
