@@ -132,19 +132,26 @@ BM_TraceReplay(benchmark::State &state)
 BENCHMARK(BM_TraceReplay);
 
 void
-BM_HotspotRewrite(benchmark::State &state)
+BM_PrefetchStream(benchmark::State &state)
 {
     const Trace &trace = cachedTinyTrace();
     HotspotPlan plan;
     plan.hotBlocks = {103, 110, 204};
     for (auto _ : state) {
-        const Trace rewritten = insertPrefetches(trace, plan);
-        benchmark::DoNotOptimize(rewritten.totalRecords());
+        PrefetchStreamSource source(
+            std::make_unique<MaterializedTraceSource>(trace), plan);
+        std::size_t records = 0;
+        for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu) {
+            auto cursor = source.cursor(cpu);
+            for (; cursor->peek() != nullptr; cursor->advance())
+                ++records;
+        }
+        benchmark::DoNotOptimize(records);
     }
     state.SetItemsProcessed(std::int64_t(trace.totalRecords()) *
                             state.iterations());
 }
-BENCHMARK(BM_HotspotRewrite);
+BENCHMARK(BM_PrefetchStream);
 
 /**
  * End-to-end cost of one experiment cell per workload: the cold cell

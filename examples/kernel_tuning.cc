@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 
 #include "core/blockop/schemes.hh"
 #include "core/hotspot/hotspot.hh"
@@ -55,12 +56,12 @@ blockName(BasicBlockId bb)
 }
 
 SimStats
-simulate(const Trace &trace, const SimOptions &opts)
+simulate(TraceSource &source, const SimOptions &opts)
 {
     SimStats stats;
     MemorySystem mem(MachineConfig::base());
     auto exec = makeBlockOpExecutor(BlockScheme::Dma, mem, stats, opts);
-    System system(trace, mem, *exec, opts, stats);
+    System system(source, mem, *exec, opts, stats);
     system.run();
     return stats;
 }
@@ -81,7 +82,8 @@ main()
     const SimOptions opts = profile.simOptions();
 
     // Phase 1: profile.
-    const SimStats before = simulate(trace, opts);
+    MaterializedTraceSource source(trace);
+    const SimStats before = simulate(source, opts);
 
     // Phase 2: rank.
     std::multimap<std::uint64_t, BasicBlockId, std::greater<>> ranked;
@@ -102,7 +104,8 @@ main()
 
     // Phase 3: insert prefetches at the top 12 spots and re-simulate.
     const HotspotPlan plan = selectHotspots(before, paperHotspotCount);
-    const Trace tuned = insertPrefetches(trace, plan);
+    PrefetchStreamSource tuned(
+        std::make_unique<MaterializedTraceSource>(trace), plan);
     const SimStats after = simulate(tuned, opts);
 
     // Phase 4: report.

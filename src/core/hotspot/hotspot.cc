@@ -4,6 +4,7 @@
 #include <deque>
 #include <ostream>
 #include <utility>
+#include <vector>
 
 namespace oscache
 {
@@ -76,58 +77,14 @@ hotspotCoverage(const SimStats &profile, const HotspotPlan &plan)
                             static_cast<double>(total);
 }
 
-Trace
-insertPrefetches(const Trace &trace, const HotspotPlan &plan)
-{
-    Trace out(trace.numCpus());
-    out.blockOps() = trace.blockOps();
-    out.updatePages() = trace.updatePages();
-
-    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
-        const RecordStream &in = trace.stream(cpu);
-
-        // Collect (insert-before-position, prefetch) pairs; positions
-        // are nondecreasing because reads are scanned in order.
-        std::vector<std::pair<std::size_t, TraceRecord>> inserts;
-        for (std::size_t i = 0; i < in.size(); ++i) {
-            const TraceRecord &rec = in[i];
-            if (rec.type != RecordType::Read ||
-                !plan.hotBlocks.count(rec.bb))
-                continue;
-            const std::size_t at =
-                i > plan.lookahead ? i - plan.lookahead : 0;
-            inserts.emplace_back(
-                at, TraceRecord::prefetch(rec.addr, rec.category, rec.bb,
-                                          rec.isOs()));
-        }
-
-        RecordStream &dst = out.stream(cpu);
-        dst.reserve(in.size() + inserts.size());
-        std::size_t next = 0;
-        for (std::size_t i = 0; i < in.size(); ++i) {
-            while (next < inserts.size() && inserts[next].first == i) {
-                dst.push_back(inserts[next].second);
-                ++next;
-            }
-            dst.push_back(in[i]);
-        }
-        while (next < inserts.size()) {
-            dst.push_back(inserts[next].second);
-            ++next;
-        }
-    }
-    return out;
-}
-
 /**
  * Sliding-window insertion.  With lookahead L, the prefetch for a
  * hot read at input index i lands at max(i - L, 0), so knowing
  * every prefetch due before input index j only requires having
  * scanned through index j + L.  The cursor keeps exactly that
  * window: priming scans indices 0..L (their prefetches all land at
- * 0, in scan order — the same order the materialized rewriter
- * emits), and each consumed input record pulls one more record in,
- * queueing its prefetch L records ahead.
+ * 0, in scan order), and each consumed input record pulls one more
+ * record in, queueing its prefetch L records ahead.
  */
 class PrefetchStreamSource::Cursor final : public RecordCursor
 {

@@ -11,12 +11,13 @@
  *
  * Here the same methodology is automated: a profiling run yields
  * per-basic-block counts of the remaining "other" OS misses;
- * selectHotspots() picks the top N blocks; insertPrefetches() then
- * rewrites the trace, hoisting one prefetch record a bounded number
- * of records ahead of each read in a hot block.  The bound models
- * the paper's observation that operand availability limits how far
- * back a prefetch can be pushed, so some latency remains only
- * partially hidden.
+ * selectHotspots() picks the top N blocks (the paper's N is
+ * paperHotspotCount); a PrefetchStreamSource over the same trace
+ * then emits it with one prefetch record hoisted a bounded number of
+ * records ahead of each read in a hot block.  The bound models the
+ * paper's observation that operand availability limits how far back
+ * a prefetch can be pushed, so some latency remains only partially
+ * hidden.
  */
 
 #ifndef OSCACHE_CORE_HOTSPOT_HOTSPOT_HH
@@ -26,14 +27,15 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "sim/stats.hh"
 #include "trace/source.hh"
-#include "trace/trace.hh"
 
 namespace oscache
 {
+
+/** Number of hot spots the paper selects (Section 6). */
+inline constexpr unsigned paperHotspotCount = 12;
 
 /** A plan for hot-spot prefetch insertion. */
 struct HotspotPlan
@@ -49,9 +51,10 @@ struct HotspotPlan
 
 /**
  * Pick the @p count basic blocks with the most remaining OS misses
- * from a profiling run's statistics (the paper uses 12).
+ * from a profiling run's statistics (the paper uses
+ * paperHotspotCount).
  */
-HotspotPlan selectHotspots(const SimStats &profile, unsigned count = 12);
+HotspotPlan selectHotspots(const SimStats &profile, unsigned count);
 
 /**
  * The same selection from a raw per-block miss-count table.  Shared
@@ -62,7 +65,7 @@ HotspotPlan selectHotspots(const SimStats &profile, unsigned count = 12);
 HotspotPlan
 selectHotspotsFromCounts(
     const std::unordered_map<BasicBlockId, std::uint64_t> &counts,
-    unsigned count = 12);
+    unsigned count);
 
 /**
  * Compare the engine's hot-spot selection (from @p stats) with an
@@ -81,19 +84,14 @@ bool hotspotCrossCheck(
 double hotspotCoverage(const SimStats &profile, const HotspotPlan &plan);
 
 /**
- * Return a copy of @p trace with prefetch records inserted ahead of
- * every read issued by a hot basic block.
- */
-Trace insertPrefetches(const Trace &trace, const HotspotPlan &plan);
-
-/**
- * Streaming equivalent of insertPrefetches(): wraps another
- * TraceSource and emits the identical record sequence — a prefetch
- * for each hot-block read, hoisted plan.lookahead records ahead
- * (clamped to the stream head) — while holding only a
- * (lookahead + 1)-record window per processor.  Used by the second
- * pass of the two-phase hot-spot methodology when the trace is
- * streamed rather than materialized.
+ * The one prefetch-insertion pass: wraps another TraceSource and
+ * emits its records with a prefetch ahead of every read issued by a
+ * hot basic block, hoisted plan.lookahead records ahead (clamped to
+ * the stream head; prefetches that clamp land in scan order).  It
+ * holds only a (lookahead + 1)-record window per processor and
+ * forwards the inner source's block-op table and update pages.  The
+ * second pass of the two-phase hot-spot methodology replays through
+ * it, whether the trace underneath is materialized or streamed.
  */
 class PrefetchStreamSource final : public TraceSource
 {

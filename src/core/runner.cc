@@ -98,22 +98,9 @@ RunResult
 runOnTrace(const Trace &trace, const MachineConfig &machine,
            const SimOptions &options, const SystemSetup &setup)
 {
-    MaterializedTraceSource source(trace);
-    if (!setup.hotspotPrefetch)
-        return runOnce(source, machine, options, setup.blockScheme);
-
-    // Two-phase hot-spot methodology: profile, select, rewrite, rerun.
-    RunResult profile = runOnce(source, machine, options,
-                                setup.blockScheme);
-    HotspotPlan plan = selectHotspots(profile.stats, paperHotspotCount);
-    const double coverage = oscache::hotspotCoverage(profile.stats, plan);
-    Trace rewritten = insertPrefetches(trace, plan);
-    MaterializedTraceSource rewrittenSource(rewritten);
-    RunResult result = runOnce(rewrittenSource, machine, options,
-                               setup.blockScheme);
-    result.hotspots = std::move(plan);
-    result.hotspotCoverage = coverage;
-    return result;
+    return runOnSource(
+        [&trace] { return std::make_unique<MaterializedTraceSource>(trace); },
+        machine, options, setup);
 }
 
 RunResult
@@ -125,9 +112,9 @@ runOnSource(const TraceSourceFactory &open, const MachineConfig &machine,
         return runOnce(*source, machine, options, setup.blockScheme);
     }
 
-    // Two-phase hot-spot methodology, streaming flavor: the profile
-    // pass consumes one source; the prefetch pass re-opens and
-    // inserts the prefetches on the fly.
+    // Two-phase hot-spot methodology: the profile pass consumes one
+    // source; the prefetch pass re-opens it and inserts the
+    // prefetches on the fly.
     RunResult profile;
     {
         auto source = open();

@@ -5,10 +5,12 @@
  *
  * Note that a SystemSetup's coherence options act at trace-generation
  * time (they are kernel-layout changes); the caller must have
- * generated @p trace with the matching CoherenceOptions.  The runner
+ * generated the trace with the matching CoherenceOptions.  The runner
  * applies the block scheme and, when requested, the two-phase
  * hot-spot prefetch methodology: profile, select the top blocks,
- * rewrite the trace, re-run.
+ * re-run through a PrefetchStreamSource over a fresh source.  One
+ * body, runOnSource(), does both; runOnTrace() is its materialized
+ * front end.
  */
 
 #ifndef OSCACHE_CORE_RUNNER_HH
@@ -97,30 +99,25 @@ struct RunResult
     std::string traceMode = "materialized";
 };
 
-/**
- * Run @p trace on the machine described by @p machine under
- * @p setup's block scheme (and hot-spot pass, if enabled).
- */
-RunResult runOnTrace(const Trace &trace, const MachineConfig &machine,
-                     const SimOptions &options, const SystemSetup &setup);
-
 /** Opens a fresh TraceSource over the same underlying trace. */
 using TraceSourceFactory =
     std::function<std::unique_ptr<TraceSource>()>;
 
 /**
- * As runOnTrace(), but pulling records through a streamed source so
- * the full trace is never materialized.  @p open is invoked once per
- * simulation pass — twice under the two-phase hot-spot methodology,
- * whose second pass wraps the fresh source in a PrefetchStreamSource
- * — because streamed cursors are consumed by a single pass.
+ * Run the trace @p open yields on the machine described by
+ * @p machine under @p setup's block scheme (and hot-spot pass, if
+ * enabled).  @p open is invoked once per simulation pass — twice
+ * under the two-phase hot-spot methodology, whose second pass wraps
+ * the fresh source in a PrefetchStreamSource — because streamed
+ * cursors are consumed by a single pass.
  */
 RunResult runOnSource(const TraceSourceFactory &open,
                       const MachineConfig &machine,
                       const SimOptions &options, const SystemSetup &setup);
 
-/** Number of hot spots the paper selects (Section 6). */
-inline constexpr unsigned paperHotspotCount = 12;
+/** runOnSource() over a MaterializedTraceSource of @p trace. */
+RunResult runOnTrace(const Trace &trace, const MachineConfig &machine,
+                     const SimOptions &options, const SystemSetup &setup);
 
 } // namespace oscache
 

@@ -86,16 +86,45 @@ extraOf(const CellOutcome &outcome, const std::string &key)
     return it->second;
 }
 
-/** Replay @p trace on the Base machine under @p scheme. */
-SimStats
-replayOnBase(const Trace &trace, BlockScheme scheme, const SimOptions &opts)
+/** Opens @p trace as it is. */
+TraceSourceFactory
+openTrace(const Trace &trace)
 {
-    SimStats stats;
-    MemorySystem mem(MachineConfig::base());
-    auto exec = makeBlockOpExecutor(scheme, mem, stats, opts);
-    System system(trace, mem, *exec, opts, stats);
-    system.run();
-    return stats;
+    return [&trace] {
+        return std::make_unique<MaterializedTraceSource>(trace);
+    };
+}
+
+/** Opens @p trace with @p plan's prefetches inserted. */
+TraceSourceFactory
+openWithPrefetches(const Trace &trace, const HotspotPlan &plan)
+{
+    return [&trace, plan] {
+        return std::make_unique<PrefetchStreamSource>(
+            std::make_unique<MaterializedTraceSource>(trace), plan);
+    };
+}
+
+/** Prefetches @p plan inserts into @p trace: one per hot-block read. */
+std::uint64_t
+hotReads(const Trace &trace, const HotspotPlan &plan)
+{
+    std::uint64_t n = 0;
+    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu)
+        for (const TraceRecord &rec : trace.stream(cpu))
+            if (rec.type == RecordType::Read && plan.hotBlocks.count(rec.bb))
+                ++n;
+    return n;
+}
+
+/** Replay the trace @p open yields on the Base machine under @p scheme. */
+SimStats
+replayOnBase(const TraceSourceFactory &open, BlockScheme scheme,
+             const SimOptions &opts)
+{
+    return runOnSource(open, MachineConfig::base(), opts,
+                       SystemSetup{scheme})
+        .stats;
 }
 
 // ---------------------------------------------------------------- figures
@@ -672,7 +701,7 @@ makeTable3()
                 system.run();
             }
             const SimStats bypass =
-                replayOnBase(*trace, BlockScheme::Bypass, opts);
+                replayOnBase(openTrace(*trace), BlockScheme::Bypass, opts);
 
             const double base_misses = double(base.totalMisses());
             CellOutcome out;
@@ -789,7 +818,7 @@ makeTable4()
             }
 
             const SimStats base =
-                replayOnBase(*trace, BlockScheme::Base, opts);
+                replayOnBase(openTrace(*trace), BlockScheme::Base, opts);
             SimStats deferred;
             {
                 MemorySystem mem(machine);
@@ -1120,7 +1149,7 @@ makeAblationPrefetchDistance()
                 cachedWorkloadTrace(kind, CoherenceOptions::relocUpdate());
 
             const SimStats base =
-                replayOnBase(*trace, BlockScheme::Dma, opts);
+                replayOnBase(openTrace(*trace), BlockScheme::Dma, opts);
             const HotspotPlan top = selectHotspots(base, paperHotspotCount);
 
             CellOutcome out;
@@ -1131,9 +1160,8 @@ makeAblationPrefetchDistance()
             for (unsigned lookahead : prefetchLookaheads) {
                 HotspotPlan plan = top;
                 plan.lookahead = lookahead;
-                const Trace rewritten = insertPrefetches(*trace, plan);
-                const SimStats s =
-                    replayOnBase(rewritten, BlockScheme::Dma, opts);
+                const SimStats s = replayOnBase(
+                    openWithPrefetches(*trace, plan), BlockScheme::Dma, opts);
                 const std::string prefix =
                     "la" + std::to_string(lookahead) + "_";
                 out.extra[prefix + "remaining"] = remainingOsMisses(s);
@@ -1267,9 +1295,9 @@ makeAblationICache()
                 opts.modelICache = detailed != 0;
 
                 const SimStats base =
-                    replayOnBase(*trace, BlockScheme::Base, opts);
+                    replayOnBase(openTrace(*trace), BlockScheme::Base, opts);
                 const SimStats dma =
-                    replayOnBase(*trace, BlockScheme::Dma, opts);
+                    replayOnBase(openTrace(*trace), BlockScheme::Dma, opts);
                 CellOutcome out;
                 out.run.stats = base;
                 out.extra = {
@@ -1668,21 +1696,20 @@ makeExtensionMorePrefetches()
                 cachedWorkloadTrace(kind, CoherenceOptions::relocUpdate());
 
             const SimStats base =
-                replayOnBase(*trace, BlockScheme::Dma, opts);
+                replayOnBase(openTrace(*trace), BlockScheme::Dma, opts);
             CellOutcome out;
             out.run.stats = base;
             out.extra["base_remaining"] = remainingOsMisses(base);
             for (unsigned count : hotspotCounts) {
                 const HotspotPlan plan = selectHotspots(base, count);
-                const Trace rewritten = insertPrefetches(*trace, plan);
-                const SimStats s =
-                    replayOnBase(rewritten, BlockScheme::Dma, opts);
+                const SimStats s = replayOnBase(
+                    openWithPrefetches(*trace, plan), BlockScheme::Dma, opts);
                 const std::string prefix =
                     "hs" + std::to_string(count) + "_";
                 out.extra[prefix + "coverage"] = hotspotCoverage(base, plan);
                 out.extra[prefix + "remaining"] = remainingOsMisses(s);
-                out.extra[prefix + "prefetches"] = double(
-                    rewritten.totalRecords() - trace->totalRecords());
+                out.extra[prefix + "prefetches"] =
+                    double(hotReads(*trace, plan));
                 out.extra[prefix + "os_instrs"] = double(s.osInstrs);
             }
             return out;

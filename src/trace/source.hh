@@ -13,7 +13,7 @@
  * once:
  *
  *  - MaterializedTraceSource wraps an existing Trace (tests, small
- *    runs, trace-rewriting passes);
+ *    runs, cached workload traces);
  *  - FileTraceSource (this header) reads both on-disk formats (text
  *    and binary) incrementally with a bounded read-ahead buffer per
  *    processor;

@@ -1,13 +1,17 @@
 /**
  * @file
  * Tests of the Section 6 hot-spot machinery: selection of the
- * hottest basic blocks, prefetch insertion with bounded lookahead,
- * and coverage computation.
+ * hottest basic blocks, prefetch insertion with bounded lookahead
+ * (PrefetchStreamSource), and coverage computation.
  */
+
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/hotspot/hotspot.hh"
+#include "testutil.hh"
 
 namespace oscache
 {
@@ -67,6 +71,15 @@ TEST(HotspotSelectTest, CoverageFraction)
     EXPECT_DOUBLE_EQ(hotspotCoverage(profile, plan), 0.6);
 }
 
+/** What a PrefetchStreamSource over @p trace emits, per cpu. */
+std::vector<std::vector<TraceRecord>>
+withPrefetches(const Trace &trace, const HotspotPlan &plan)
+{
+    PrefetchStreamSource source(
+        std::make_unique<MaterializedTraceSource>(trace), plan);
+    return testutil::drain(source);
+}
+
 TEST(HotspotInsertTest, PrefetchInsertedAheadOfRead)
 {
     Trace trace(1);
@@ -79,8 +92,8 @@ TEST(HotspotInsertTest, PrefetchInsertedAheadOfRead)
     plan.hotBlocks.insert(7);
     plan.lookahead = 5;
 
-    const Trace out = insertPrefetches(trace, plan);
-    const auto &os = out.stream(0);
+    const auto out = withPrefetches(trace, plan);
+    const auto &os = out[0];
     ASSERT_EQ(os.size(), s.size() + 1);
     // The prefetch sits exactly `lookahead` records before the read.
     const std::size_t read_pos = os.size() - 1;
@@ -97,8 +110,7 @@ TEST(HotspotInsertTest, ColdBlocksUntouched)
         TraceRecord::read(0x1000, DataCategory::PageTable, 7, true));
     HotspotPlan plan;
     plan.hotBlocks.insert(8); // Different block.
-    const Trace out = insertPrefetches(trace, plan);
-    EXPECT_EQ(out.stream(0).size(), 1u);
+    EXPECT_EQ(withPrefetches(trace, plan)[0].size(), 1u);
 }
 
 TEST(HotspotInsertTest, LookaheadClampedAtStreamStart)
@@ -109,9 +121,34 @@ TEST(HotspotInsertTest, LookaheadClampedAtStreamStart)
     HotspotPlan plan;
     plan.hotBlocks.insert(7);
     plan.lookahead = 100;
-    const Trace out = insertPrefetches(trace, plan);
-    ASSERT_EQ(out.stream(0).size(), 2u);
-    EXPECT_EQ(out.stream(0)[0].type, RecordType::Prefetch);
+    const auto out = withPrefetches(trace, plan);
+    ASSERT_EQ(out[0].size(), 2u);
+    EXPECT_EQ(out[0][0].type, RecordType::Prefetch);
+
+    // Three hot reads at the stream head: every read the priming
+    // window scans (input indices 0..lookahead) has its prefetch
+    // clamped to index 0, in scan order; a later one lands
+    // lookahead records ahead of its read.
+    Trace head(1);
+    for (Addr a : {0x1000u, 0x2000u, 0x3000u})
+        head.stream(0).push_back(
+            TraceRecord::read(a, DataCategory::PageTable, 7, true));
+    head.stream(0).push_back(TraceRecord::exec(4, 99, true));
+    const auto pref = [](Addr a) {
+        return TraceRecord::prefetch(a, DataCategory::PageTable, 7, true);
+    };
+    const auto &in = head.stream(0);
+
+    plan.lookahead = 12;
+    EXPECT_EQ(withPrefetches(head, plan)[0],
+              (std::vector<TraceRecord>{pref(0x1000), pref(0x2000),
+                                        pref(0x3000), in[0], in[1], in[2],
+                                        in[3]}));
+    plan.lookahead = 1;
+    EXPECT_EQ(withPrefetches(head, plan)[0],
+              (std::vector<TraceRecord>{pref(0x1000), pref(0x2000), in[0],
+                                        pref(0x3000), in[1], in[2],
+                                        in[3]}));
 }
 
 TEST(HotspotInsertTest, PreservesRecordOrder)
@@ -127,14 +164,14 @@ TEST(HotspotInsertTest, PreservesRecordOrder)
     HotspotPlan plan;
     plan.hotBlocks.insert(7);
     plan.lookahead = 3;
-    const Trace out = insertPrefetches(trace, plan);
+    const auto out = withPrefetches(trace, plan);
     // Stream 0 untouched.
-    ASSERT_EQ(out.stream(0).size(), 50u);
+    ASSERT_EQ(out[0].size(), 50u);
     for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(out.stream(0)[i].aux, unsigned(i + 1));
+        EXPECT_EQ(out[0][i].aux, unsigned(i + 1));
     // Stream 1: original reads still in order.
     std::vector<Addr> reads;
-    for (const auto &rec : out.stream(1))
+    for (const auto &rec : out[1])
         if (rec.type == RecordType::Read)
             reads.push_back(rec.addr);
     ASSERT_EQ(reads.size(), 50u);
@@ -142,14 +179,18 @@ TEST(HotspotInsertTest, PreservesRecordOrder)
         EXPECT_LT(reads[i - 1], reads[i]);
 }
 
-TEST(HotspotInsertTest, CopiesBlockOpsAndUpdatePages)
+TEST(HotspotInsertTest, ForwardsBlockOpsAndUpdatePages)
 {
     Trace trace(1);
     trace.blockOps().add(BlockOp{});
     trace.updatePages().insert(0x4000);
-    const Trace out = insertPrefetches(trace, HotspotPlan{});
-    EXPECT_EQ(out.blockOps().size(), 1u);
-    EXPECT_TRUE(out.isUpdateAddr(0x4000));
+    PrefetchStreamSource source(
+        std::make_unique<MaterializedTraceSource>(trace), HotspotPlan{});
+    // The inner source's tables themselves, not copies.
+    EXPECT_EQ(&source.blockOps(), &trace.blockOps());
+    EXPECT_EQ(&source.updatePages(), &trace.updatePages());
+    EXPECT_EQ(source.blockOps().size(), 1u);
+    EXPECT_TRUE(source.updatePages().count(0x4000));
 }
 
 TEST(HotspotInsertTest, PrefetchInheritsAnnotations)
@@ -159,8 +200,8 @@ TEST(HotspotInsertTest, PrefetchInheritsAnnotations)
         TraceRecord::read(0x1000, DataCategory::PageTable, 7, true));
     HotspotPlan plan;
     plan.hotBlocks.insert(7);
-    const Trace out = insertPrefetches(trace, plan);
-    const auto &pref = out.stream(0)[0];
+    const auto out = withPrefetches(trace, plan);
+    const auto &pref = out[0][0];
     EXPECT_EQ(pref.category, DataCategory::PageTable);
     EXPECT_EQ(pref.bb, 7u);
     EXPECT_TRUE(pref.isOs());

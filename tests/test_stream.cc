@@ -4,8 +4,8 @@
  * materialized generation bit-for-bit, file sources must replay both
  * on-disk formats through bounded cursors, corrupted chunked
  * artifacts must fail cleanly, one store artifact must serve both
- * materialized and streamed runs, the streaming prefetch adapter must
- * match the materializing rewrite, and the in-memory trace cache
+ * materialized and streamed runs, the prefetch-insertion source must
+ * match a reference materializing rewrite, and the in-memory trace cache
  * must evict by LRU under its byte cap.
  */
 
@@ -24,6 +24,7 @@
 #include "report/experiment.hh"
 #include "synth/generator.hh"
 #include "synth/stream_source.hh"
+#include "testutil.hh"
 #include "trace/io.hh"
 #include "trace/source.hh"
 
@@ -43,21 +44,7 @@ smallProfile(WorkloadKind kind, unsigned quanta = 6)
     return p;
 }
 
-/** Drain every record of @p source, per cpu. */
-std::vector<std::vector<TraceRecord>>
-drain(TraceSource &source)
-{
-    std::vector<std::vector<TraceRecord>> out(source.numCpus());
-    for (CpuId c = 0; c < source.numCpus(); ++c) {
-        auto cursor = source.cursor(c);
-        while (const TraceRecord *rec = cursor->peek()) {
-            out[c].push_back(*rec);
-            cursor->advance();
-        }
-        EXPECT_EQ(cursor->peek(), nullptr);
-    }
-    return out;
-}
+using testutil::drain;
 
 /** The streams of a materialized trace, in drain() shape. */
 std::vector<std::vector<TraceRecord>>
@@ -183,7 +170,55 @@ TEST(StreamSim, HotspotPassMatchesMaterialized)
 }
 
 // ---------------------------------------------------------------------
-// The streaming prefetch adapter vs. the materializing rewrite.
+// The prefetch-insertion source vs. a reference materializing rewrite.
+
+/**
+ * Reference rewrite: a copy of @p trace with each hot-block read's
+ * prefetch inserted plan.lookahead records ahead (clamped to the
+ * stream head), built by collecting positions and then merging.
+ */
+Trace
+insertPrefetchesReference(const Trace &trace, const HotspotPlan &plan)
+{
+    Trace out(trace.numCpus());
+    out.blockOps() = trace.blockOps();
+    out.updatePages() = trace.updatePages();
+
+    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
+        const RecordStream &in = trace.stream(cpu);
+
+        // Collect (insert-before-position, prefetch) pairs; positions
+        // are nondecreasing because reads are scanned in order.
+        std::vector<std::pair<std::size_t, TraceRecord>> inserts;
+        for (std::size_t i = 0; i < in.size(); ++i) {
+            const TraceRecord &rec = in[i];
+            if (rec.type != RecordType::Read ||
+                !plan.hotBlocks.count(rec.bb))
+                continue;
+            const std::size_t at =
+                i > plan.lookahead ? i - plan.lookahead : 0;
+            inserts.emplace_back(
+                at, TraceRecord::prefetch(rec.addr, rec.category, rec.bb,
+                                          rec.isOs()));
+        }
+
+        RecordStream &dst = out.stream(cpu);
+        dst.reserve(in.size() + inserts.size());
+        std::size_t next = 0;
+        for (std::size_t i = 0; i < in.size(); ++i) {
+            while (next < inserts.size() && inserts[next].first == i) {
+                dst.push_back(inserts[next].second);
+                ++next;
+            }
+            dst.push_back(in[i]);
+        }
+        while (next < inserts.size()) {
+            dst.push_back(inserts[next].second);
+            ++next;
+        }
+    }
+    return out;
+}
 
 TEST(StreamPrefetch, AdapterMatchesInsertPrefetches)
 {
@@ -202,7 +237,7 @@ TEST(StreamPrefetch, AdapterMatchesInsertPrefetches)
         }
     ASSERT_FALSE(plan.hotBlocks.empty());
 
-    const Trace rewritten = insertPrefetches(trace, plan);
+    const Trace rewritten = insertPrefetchesReference(trace, plan);
     PrefetchStreamSource adapter(
         std::make_unique<MaterializedTraceSource>(trace), plan);
     const auto streamed = drain(adapter);

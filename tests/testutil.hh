@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared test utilities: seeded randomness and property-test scaling.
+ * Shared test utilities: seeded randomness, property-test scaling and
+ * draining a trace source.
  *
  * Every randomized test draws its generator from here so that
  *
@@ -20,8 +21,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
+#include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "trace/source.hh"
 
 namespace oscache
 {
@@ -74,6 +79,22 @@ propIters(int base)
 {
     const double scaled = double(base) * propScale();
     return scaled < 1.0 ? 1 : int(scaled);
+}
+
+/** Drain every record of @p source, per cpu. */
+inline std::vector<std::vector<TraceRecord>>
+drain(TraceSource &source)
+{
+    std::vector<std::vector<TraceRecord>> out(source.numCpus());
+    for (CpuId c = 0; c < source.numCpus(); ++c) {
+        auto cursor = source.cursor(c);
+        while (const TraceRecord *rec = cursor->peek()) {
+            out[c].push_back(*rec);
+            cursor->advance();
+        }
+        EXPECT_EQ(cursor->peek(), nullptr);
+    }
+    return out;
 }
 
 } // namespace testutil
