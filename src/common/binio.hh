@@ -8,6 +8,11 @@
  * the file can end with a self-describing checksum; the reader
  * accumulates the same sum while parsing, so truncation and bit rot
  * are both caught on reload without a second pass.
+ *
+ * put()/get() move one value per stream call, which suits headers
+ * and tables.  Bulk payloads go through putBytes()/getBytes(): the
+ * trace writer packs up to 64 KiB of records per putBytes() call, and
+ * the sum is the same FNV-1a over the same bytes either way.
  */
 
 #ifndef OSCACHE_COMMON_BINIO_HH
@@ -58,6 +63,18 @@ class BinaryWriter
         std::memcpy(buf, &value, sizeof(T));
         os.write(buf, sizeof(T));
         sum.mix(buf, sizeof(T));
+    }
+
+    /**
+     * Write @p size raw bytes from @p data: one stream write and one
+     * checksum pass, however many values the caller packed into them.
+     * The mirror of BinaryReader::getBytes().
+     */
+    void
+    putBytes(const char *data, std::size_t size)
+    {
+        os.write(data, std::streamsize(size));
+        sum.mix(data, size);
     }
 
     std::uint64_t checksum() const { return sum.value(); }

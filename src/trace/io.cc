@@ -1,6 +1,7 @@
 #include "trace/io.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -503,13 +504,53 @@ readTraceBinary(std::istream &is)
 
 struct ChunkedTraceWriter::Impl
 {
+    /** Bytes handed to the stream per write, whatever the chunk size. */
+    static constexpr std::size_t blockBytes = 64 * 1024;
+
     Impl(std::ostream &out) : os(out), w(out) {}
+
+    void putChunk(CpuId cpu, const TraceRecord *records,
+                  std::uint32_t count);
 
     std::ostream &os;
     BinaryWriter w;
     unsigned cpus = 0;
     bool finished = false;
+    std::array<char, blockBytes> block; ///< Reused staging block.
 };
+
+/**
+ * Encode one chunk (header, then records) into the staging block and
+ * write each full block with one putBytes().  A record that straddles
+ * the block edge is split across two blocks, so every write but the
+ * last is exactly blockBytes long and the bytes are the same as one
+ * put() per field.
+ */
+void
+ChunkedTraceWriter::Impl::putChunk(CpuId cpu, const TraceRecord *records,
+                                   std::uint32_t count)
+{
+    char *const begin = block.data();
+    char *const end = begin + block.size();
+    const std::uint32_t header[2] = {std::uint32_t(cpu), count};
+    std::memcpy(begin, header, sizeof(header));
+    char *p = begin + sizeof(header);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        if (std::size_t(end - p) >= recordWireBytes) {
+            iodetail::encodeRecord(p, records[i]);
+            p += recordWireBytes;
+            continue;
+        }
+        char wire[recordWireBytes];
+        iodetail::encodeRecord(wire, records[i]);
+        const std::size_t head = std::size_t(end - p);
+        std::memcpy(p, wire, head);
+        w.putBytes(begin, block.size());
+        std::memcpy(begin, wire + head, recordWireBytes - head);
+        p = begin + (recordWireBytes - head);
+    }
+    w.putBytes(begin, std::size_t(p - begin));
+}
 
 ChunkedTraceWriter::ChunkedTraceWriter(
     std::ostream &os, unsigned num_cpus,
@@ -539,10 +580,7 @@ ChunkedTraceWriter::writeChunk(CpuId cpu, const TraceRecord *records,
         // Chunks carry a u32 count; split absurdly large ones.
         const std::size_t n =
             std::min<std::size_t>(count, chunkEndMarker - 1);
-        impl->w.put(std::uint32_t(cpu));
-        impl->w.put(std::uint32_t(n));
-        for (std::size_t i = 0; i < n; ++i)
-            iodetail::putRecord(impl->w, records[i]);
+        impl->putChunk(cpu, records, std::uint32_t(n));
         records += n;
         count -= n;
     }

@@ -99,7 +99,9 @@ Trace readTraceBinary(std::istream &is);
  * emitted on construction; record chunks stream out as the caller
  * produces them (any cpu order, any chunk sizes, empty chunks
  * skipped); finish() appends the block-op table and checksum.
- * Nothing is buffered beyond the caller's chunks and nothing is
+ * Each chunk is encoded through one reused 64 KiB staging block and
+ * reaches the stream as one write per full block, not one per field.
+ * No bytes are held back past writeChunk() and nothing is
  * back-patched, so memory stays O(chunk) however long the trace is.
  */
 class ChunkedTraceWriter

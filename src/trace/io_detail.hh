@@ -2,8 +2,9 @@
  * @file
  * Internal building blocks shared by the trace serializers (io.cc)
  * and the streaming file reader (source.cc): the binary magic and
- * per-record wire layout, the one binary-format parser, small
- * put/get wrappers over iostreams, and the text-format record parser.
+ * per-record wire layout (encodeRecord/decodeRecord), the one
+ * binary-format parser, the checksummed stream wrappers, and the
+ * text-format record parser.
  *
  * This header is private to src/trace; nothing outside the library
  * should include it.  The public contract is io.hh and source.hh.
@@ -47,17 +48,31 @@ using binio::BinaryReader;
 using binio::BinaryWriter;
 using binio::ChecksumStream;
 
-/** Write one record in the packed wire layout. */
+// encodeRecord() and decodeRecord() are the one statement of the
+// packed layout: addr, aux, bb, then the type, category, size and
+// flags bytes, native-endian with no padding.
+static_assert(sizeof(TraceRecord::addr) + sizeof(TraceRecord::aux) +
+                      sizeof(TraceRecord::bb) + sizeof(TraceRecord::type) +
+                      sizeof(TraceRecord::category) +
+                      sizeof(TraceRecord::size) +
+                      sizeof(TraceRecord::flags) ==
+                  recordWireBytes,
+              "the wire layout covers every TraceRecord field once");
+
+/** Encode @p rec into the recordWireBytes bytes at @p p. */
 inline void
-putRecord(BinaryWriter &w, const TraceRecord &rec)
+encodeRecord(char *p, const TraceRecord &rec)
 {
-    w.put(rec.addr);
-    w.put(rec.aux);
-    w.put(rec.bb);
-    w.put(std::uint8_t(rec.type));
-    w.put(std::uint8_t(rec.category));
-    w.put(rec.size);
-    w.put(rec.flags);
+    std::memcpy(p, &rec.addr, sizeof(rec.addr));
+    p += sizeof(rec.addr);
+    std::memcpy(p, &rec.aux, sizeof(rec.aux));
+    p += sizeof(rec.aux);
+    std::memcpy(p, &rec.bb, sizeof(rec.bb));
+    p += sizeof(rec.bb);
+    p[0] = char(std::uint8_t(rec.type));
+    p[1] = char(std::uint8_t(rec.category));
+    p[2] = char(rec.size);
+    p[3] = char(rec.flags);
 }
 
 /**

@@ -9,8 +9,11 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <streambuf>
 
+#include "common/binio.hh"
 #include "synth/generator.hh"
 #include "trace/io.hh"
 #include "trace/source.hh"
@@ -459,6 +462,192 @@ TEST(TraceIoErrorTest, RejectsZeroLengthFile)
     std::string why2;
     EXPECT_FALSE(tryReadTraceBinary(in, trace, &why2));
     EXPECT_FALSE(why2.empty());
+}
+
+// ------------------------------------------------- writer byte pins
+
+/**
+ * Record @p i of the pinned writer trace: every field at or near its
+ * extreme, with addr and size varying so a misplaced record shows.
+ */
+TraceRecord
+extremeRecord(std::size_t i)
+{
+    TraceRecord rec;
+    rec.addr = 0xfedc'ba98'0000'0000ull | std::uint64_t(i);
+    rec.aux = std::numeric_limits<std::uint32_t>::max();
+    rec.bb = std::numeric_limits<std::uint32_t>::max();
+    rec.type = RecordType::BarrierArrive;
+    rec.category = DataCategory(std::uint8_t(DataCategory::NumCategories) -
+                                1);
+    rec.size = std::uint8_t(i * 7);
+    rec.flags = 0xff;
+    return rec;
+}
+
+/**
+ * Chunk sizes around the writer's 64 KiB staging block: 3276 records
+ * and the 8-byte chunk header fit in one block, the 3277th straddles
+ * its edge, and 65536/65537 span 21 blocks with records straddling
+ * each edge.  The empty chunk writes nothing.
+ */
+constexpr std::size_t pinnedChunkSizes[] = {0, 1, 3276, 3277, 65536, 65537};
+
+/** The pinned 3-cpu trace: chunk k holds pinnedChunkSizes[k] records
+ *  of cpu k % 3. */
+Trace
+pinnedWriterTrace()
+{
+    Trace trace(3);
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < std::size(pinnedChunkSizes); ++k)
+        for (std::size_t i = 0; i < pinnedChunkSizes[k]; ++i)
+            trace.stream(CpuId(k % 3)).push_back(extremeRecord(next++));
+    return trace;
+}
+
+/** Write pinnedWriterTrace() chunk by chunk through @p os. */
+void
+writePinnedChunks(std::ostream &os, const Trace &trace)
+{
+    ChunkedTraceWriter writer(os, trace.numCpus(), trace.updatePages());
+    std::size_t offset[3] = {};
+    for (std::size_t k = 0; k < std::size(pinnedChunkSizes); ++k) {
+        const CpuId cpu = CpuId(k % 3);
+        writer.writeChunk(cpu, trace.stream(cpu).data() + offset[cpu],
+                          pinnedChunkSizes[k]);
+        offset[cpu] += pinnedChunkSizes[k];
+    }
+    writer.finish(trace.blockOps());
+}
+
+/**
+ * Reference encoding of the same file with one BinaryWriter::put()
+ * per header word and per record field: the layout as the format
+ * defines it, independent of how the writer batches its bytes.
+ */
+std::string
+referenceChunkedBytes(const Trace &trace)
+{
+    std::stringstream os;
+    os.write("OSTR", 4);
+    binio::BinaryWriter w(os);
+    w.put(std::uint32_t(3)); // version
+    w.put(std::uint32_t(trace.numCpus()));
+    w.put(std::uint64_t(0)); // update pages
+    std::size_t offset[3] = {};
+    for (std::size_t k = 0; k < std::size(pinnedChunkSizes); ++k) {
+        const CpuId cpu = CpuId(k % 3);
+        const std::size_t n = pinnedChunkSizes[k];
+        if (n == 0)
+            continue;
+        w.put(std::uint32_t(cpu));
+        w.put(std::uint32_t(n));
+        for (std::size_t i = 0; i < n; ++i) {
+            const TraceRecord &rec = trace.stream(cpu)[offset[cpu] + i];
+            w.put(rec.addr);
+            w.put(rec.aux);
+            w.put(rec.bb);
+            w.put(std::uint8_t(rec.type));
+            w.put(std::uint8_t(rec.category));
+            w.put(rec.size);
+            w.put(rec.flags);
+        }
+        offset[cpu] += n;
+    }
+    w.put(std::uint32_t(0xffffffffu)); // end marker
+    w.put(std::uint64_t(0));           // block ops
+    const std::uint64_t sum = w.checksum();
+    os.write(reinterpret_cast<const char *>(&sum), sizeof(sum));
+    return os.str();
+}
+
+TEST(TraceIoWriterTest, BlockEncodingMatchesPerFieldReference)
+{
+    const Trace trace = pinnedWriterTrace();
+    std::stringstream out;
+    writePinnedChunks(out, trace);
+    const std::string bytes = out.str();
+
+    EXPECT_TRUE(bytes == referenceChunkedBytes(trace));
+    binio::ChecksumStream fnv;
+    fnv.mix(bytes.data(), bytes.size());
+    // FNV-1a of these exact bytes as the per-field writer produced them.
+    EXPECT_EQ(fnv.value(), 0x2582'4870'0971'de19ull)
+        << std::hex << fnv.value();
+
+    std::stringstream in(bytes);
+    Trace parsed(1);
+    std::string why;
+    ASSERT_TRUE(tryReadTraceBinary(in, parsed, &why)) << why;
+    ASSERT_EQ(parsed.numCpus(), 3u);
+    for (CpuId cpu = 0; cpu < 3; ++cpu)
+        EXPECT_TRUE(parsed.stream(cpu) == trace.stream(cpu)) << int(cpu);
+
+    const std::string path = writeCorruptFile("pinned_writer.otb", bytes);
+    const auto source = FileTraceSource::tryOpen(path, 4096, &why);
+    ASSERT_NE(source, nullptr) << why;
+    for (CpuId cpu = 0; cpu < 3; ++cpu) {
+        auto cursor = source->cursor(cpu);
+        std::size_t i = 0;
+        for (; cursor->peek() != nullptr; cursor->advance(), ++i) {
+            ASSERT_LT(i, trace.stream(cpu).size()) << int(cpu);
+            ASSERT_TRUE(*cursor->peek() == trace.stream(cpu)[i])
+                << int(cpu) << " record " << i;
+        }
+        EXPECT_EQ(i, trace.stream(cpu).size()) << int(cpu);
+    }
+}
+
+/** A streambuf that discards its bytes and counts the writes. */
+class CountingBuf : public std::streambuf
+{
+  public:
+    std::size_t writes = 0;
+    std::size_t bytes = 0;
+
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        ++writes;
+        bytes += std::size_t(n);
+        return n;
+    }
+
+    int_type
+    overflow(int_type ch) override
+    {
+        ++writes;
+        ++bytes;
+        return traits_type::not_eof(ch);
+    }
+};
+
+TEST(TraceIoWriterTest, ChunkIsOneStreamWritePerBlock)
+{
+    // Pins the structure, not a time: a chunk of N records reaches the
+    // stream in at most ceil(20 N / 64 KiB) + 1 writes (the +1 covers
+    // the chunk header), where a write per field would make 7 N.
+    constexpr std::size_t block = 64 * 1024;
+    const Trace trace = pinnedWriterTrace();
+    std::size_t offset[3] = {};
+    for (std::size_t k = 0; k < std::size(pinnedChunkSizes); ++k) {
+        const CpuId cpu = CpuId(k % 3);
+        const std::size_t n = pinnedChunkSizes[k];
+        CountingBuf buf;
+        std::ostream os(&buf);
+        ChunkedTraceWriter writer(os, 3, {});
+        const std::size_t before = buf.writes;
+        const std::size_t before_bytes = buf.bytes;
+        writer.writeChunk(cpu, trace.stream(cpu).data() + offset[cpu], n);
+        offset[cpu] += n;
+        EXPECT_LE(buf.writes - before, (20 * n + block - 1) / block + 1)
+            << n << " records";
+        EXPECT_EQ(buf.bytes - before_bytes, n == 0 ? 0 : 8 + 20 * n)
+            << n << " records";
+        writer.finish({});
+    }
 }
 
 } // namespace
